@@ -12,15 +12,14 @@ import (
 	"cafmpi/internal/obs/wallprof"
 )
 
-// The receive path. Arriving messages land in per-(class, src) buckets
-// instead of one flat arrival-order slice; every message carries a global
-// arrival sequence stamp, and matching takes the minimum-stamp eligible
-// message across the buckets its spec selects. That reproduces the old
-// linear scan exactly — "first in arrival order" and "least arrival stamp"
-// are the same message — while an exact-source receive touches one bucket
-// instead of wading through every unexpected message ahead of it, and the
-// non-overtaking guarantee holds per stream because each bucket is itself
-// stamp-ordered.
+// The receive path. Arriving messages are appended to one intrusive list per
+// class, in arrival order. enqueueLocked is the only place that stamps aseq
+// and appends, so list order is stamp order: a take walks a class list from
+// the head and the first message that passes source, Filter and the time
+// gate is the least-stamp eligible one — what a linear scan of a single
+// arrival-ordered queue would pick, at a cost of the messages ahead of it,
+// never of the world size. Non-overtaking per (src, class, tag) stream
+// follows because a stream's messages sit in the list in program order.
 //
 // Blocked receivers register the match domain they care about (classes ×
 // source, plus whether pokes count); injection and Poke wake only waiters
@@ -59,7 +58,7 @@ func Classes(cs ...uint8) ClassSet {
 func (s ClassSet) Has(c uint8) bool { return s&(1<<c) != 0 }
 
 // MatchSpec describes which queued messages a receive or probe is willing
-// to take. Class and source narrow the bucket scan; Before gates on the
+// to take. Class and source narrow the queue walk; Before gates on the
 // message's arrival stamp (a receiver must not consume a message that is
 // still in its virtual future); Filter, when non-nil, adds layer-specific
 // selection (tag, context, posted-receive matching) and runs under the
@@ -125,7 +124,7 @@ type Endpoint struct {
 	waiters atomic.Int32
 
 	cond    *sync.Cond // on the shard mutex; woken only for this endpoint's events
-	classes [classLimit]*classQueue
+	classes [classLimit]classQueue
 	present ClassSet // classes with at least one queued message
 	nextSeq uint64   // next arrival stamp
 	depth   int      // total queued messages
@@ -145,35 +144,11 @@ func newEndpoint(l *Layer, rank int, sh *shard) *Endpoint {
 	return e
 }
 
-// classQueue holds one class's per-source buckets.
+// classQueue is one class's arrival-ordered queue: an intrusive doubly
+// linked list through Message.qprev/qnext, so an endpoint's memory does not
+// depend on the world size and removal from the middle is O(1).
 type classQueue struct {
-	srcs  []bucket // indexed by source world rank
-	count int
-}
-
-// bucket is a stamp-ordered FIFO of messages from one (class, src) pair.
-// head avoids shifting on the common dequeue-from-front.
-type bucket struct {
-	msgs []*Message
-	head int
-}
-
-func (b *bucket) size() int { return len(b.msgs) - b.head }
-
-// removeAt deletes the message at absolute index i, preserving order.
-func (b *bucket) removeAt(i int) {
-	if i == b.head {
-		b.msgs[i] = nil
-		b.head++
-	} else {
-		copy(b.msgs[i:], b.msgs[i+1:])
-		b.msgs[len(b.msgs)-1] = nil
-		b.msgs = b.msgs[:len(b.msgs)-1]
-	}
-	if b.head == len(b.msgs) {
-		b.msgs = b.msgs[:0]
-		b.head = 0
-	}
+	head, tail *Message
 }
 
 // drainShardLocked makes every delivery parked in the owning shard's inject
@@ -197,20 +172,43 @@ func (e *Endpoint) enqueueLocked(m *Message) (wake bool) {
 	if m.Src < 0 || m.Class >= classLimit {
 		panic(fmt.Sprintf("fabric: enqueue src %d class %d out of range", m.Src, m.Class))
 	}
-	cq := e.classes[m.Class]
-	if cq == nil {
-		cq = &classQueue{srcs: make([]bucket, len(e.layer.eps))}
-		e.classes[m.Class] = cq
+	if m.queued {
+		panic("fabric: enqueue of a message that is already queued")
 	}
 	m.aseq = e.nextSeq
 	e.nextSeq++
-	b := &cq.srcs[m.Src]
-	b.msgs = append(b.msgs, m)
-	cq.count++
+	cq := &e.classes[m.Class]
+	m.qprev, m.qnext, m.queued = cq.tail, nil, true
+	if cq.tail != nil {
+		cq.tail.qnext = m
+	} else {
+		cq.head = m
+	}
+	cq.tail = m
 	e.depth++
 	e.present |= 1 << m.Class
 	e.seq.Add(1)
 	return e.wakeNeededLocked(m.Class, m.Src, false)
+}
+
+// unlinkLocked removes queued message m from its class list.
+func (e *Endpoint) unlinkLocked(m *Message) {
+	cq := &e.classes[m.Class]
+	if m.qprev != nil {
+		m.qprev.qnext = m.qnext
+	} else {
+		cq.head = m.qnext
+	}
+	if m.qnext != nil {
+		m.qnext.qprev = m.qprev
+	} else {
+		cq.tail = m.qprev
+	}
+	m.qprev, m.qnext, m.queued = nil, nil, false
+	if cq.head == nil {
+		e.present &^= 1 << m.Class
+	}
+	e.depth--
 }
 
 // wakeNeededLocked reports whether any registered waiter's domain
@@ -234,74 +232,48 @@ func (e *Endpoint) wakeNeededLocked(class uint8, src int, isPoke bool) bool {
 	return false
 }
 
-// takeSpecLocked removes and returns the least-arrival-stamp message
-// eligible under spec (class, src, Filter, and ArriveT <= Before). When no
-// message is eligible it instead reports the earliest arrival stamp among
-// messages that match everything but the time gate.
-func (e *Endpoint) takeSpecLocked(spec *MatchSpec) (*Message, int64, bool) {
-	var (
-		best      *Message
-		bestCQ    *classQueue
-		bestB     *bucket
-		bestIdx   int
-		earliest  int64
-		earlSeq   uint64
-		hasEarl   bool
-		activeSet = spec.Classes & e.present
-	)
-	for set := activeSet; set != 0; set &= set - 1 {
-		c := trailingZeros(set)
-		cq := e.classes[c]
-		if spec.Src != AnySrc {
-			e.scanBucket(cq, &cq.srcs[spec.Src], spec, &best, &bestCQ, &bestB, &bestIdx, &earliest, &earlSeq, &hasEarl)
-			continue
-		}
-		for s := range cq.srcs {
-			if cq.srcs[s].size() > 0 {
-				e.scanBucket(cq, &cq.srcs[s], spec, &best, &bestCQ, &bestB, &bestIdx, &earliest, &earlSeq, &hasEarl)
+// findLocked returns, still queued, the least-arrival-stamp message eligible
+// under spec (class, src, Filter, and ArriveT <= Before). When no message is
+// eligible it instead reports the earliest arrival among messages that match
+// everything but the time gate, so the caller knows where virtual time must
+// advance to. Across several selected classes the least stamp wins: a later
+// class's walk bails once its stamps pass the candidate's.
+func (e *Endpoint) findLocked(spec *MatchSpec) (best *Message, earliest int64, hasEarl bool) {
+	for set := spec.Classes & e.present; set != 0; set &= set - 1 {
+		for m := e.classes[trailingZeros(set)].head; m != nil; m = m.qnext {
+			if best != nil && m.aseq > best.aseq {
+				break
+			}
+			if spec.Src != AnySrc && m.Src != spec.Src {
+				continue
+			}
+			if spec.Filter != nil && !spec.Filter(m) {
+				continue
+			}
+			if m.ArriveT <= spec.Before {
+				best = m
+				break
+			}
+			if !hasEarl || m.ArriveT < earliest {
+				earliest, hasEarl = m.ArriveT, true
 			}
 		}
 	}
-	if best == nil {
-		return nil, earliest, hasEarl
+	if best != nil {
+		return best, 0, false
 	}
-	bestB.removeAt(bestIdx)
-	bestCQ.count--
-	if bestCQ.count == 0 {
-		e.present &^= 1 << best.Class
-	}
-	e.depth--
-	return best, 0, false
+	return nil, earliest, hasEarl
 }
 
-// scanBucket walks one bucket in stamp order. The first eligible message it
-// meets has the bucket's least stamp, so the scan stops there; while no
-// candidate exists it tracks the earliest (ArriveT, stamp) among messages
-// matching everything but the time gate, so a failed take reports where
-// virtual time must advance to. Once any bucket has produced a candidate the
-// earliest report is moot (it is only consumed on a failed take), so the
-// scan may bail as soon as stamps pass the candidate's.
-func (e *Endpoint) scanBucket(cq *classQueue, b *bucket, spec *MatchSpec,
-	best **Message, bestCQ **classQueue, bestB **bucket, bestIdx *int,
-	earliest *int64, earlSeq *uint64, hasEarl *bool) {
-	for i := b.head; i < len(b.msgs); i++ {
-		m := b.msgs[i]
-		if *best != nil && m.aseq > (*best).aseq {
-			return
-		}
-		if spec.Filter != nil && !spec.Filter(m) {
-			continue
-		}
-		if m.ArriveT <= spec.Before {
-			// Strictly smaller stamp than any current candidate (the check
-			// above would have bailed otherwise), so this one wins.
-			*best, *bestCQ, *bestB, *bestIdx = m, cq, b, i
-			return
-		}
-		if !*hasEarl || m.ArriveT < *earliest || (m.ArriveT == *earliest && m.aseq < *earlSeq) {
-			*earliest, *earlSeq, *hasEarl = m.ArriveT, m.aseq, true
-		}
+// takeLocked is findLocked plus removal, including the at-most-once sweep of
+// an injector-made duplicate. Peeks call findLocked alone.
+func (e *Endpoint) takeLocked(spec *MatchSpec) (*Message, int64, bool) {
+	m, earliest, hasEarl := e.findLocked(spec)
+	if m != nil {
+		e.unlinkLocked(m)
+		e.sweepDupLocked(m)
 	}
+	return m, earliest, hasEarl
 }
 
 func trailingZeros(s ClassSet) uint8 {
@@ -310,29 +282,17 @@ func trailingZeros(s ClassSet) uint8 {
 
 // sweepDupLocked enforces at-most-once absorb for injector-duplicated
 // messages: m was just taken for real (not a peek), so its sibling copy —
-// same (class, src) bucket, same DupKey — is removed and recycled here,
-// before the lock drops and the sibling could match anything. Peek paths
-// must NOT sweep (they undo their take).
+// same class, same source, same DupKey — is removed and recycled here,
+// before the lock drops and the sibling could match anything.
 func (e *Endpoint) sweepDupLocked(m *Message) {
 	if m.DupKey == 0 {
 		return
 	}
-	cq := e.classes[m.Class]
-	if cq == nil {
-		return
-	}
-	b := &cq.srcs[m.Src]
-	for i := b.head; i < len(b.msgs); i++ {
-		s := b.msgs[i]
-		if s.DupKey != m.DupKey {
+	for s := e.classes[m.Class].head; s != nil; s = s.qnext {
+		if s.Src != m.Src || s.DupKey != m.DupKey {
 			continue
 		}
-		b.removeAt(i)
-		cq.count--
-		if cq.count == 0 {
-			e.present &^= 1 << m.Class
-		}
-		e.depth--
+		e.unlinkLocked(s)
 		if flt := e.layer.net.flt; flt != nil {
 			flt.Record(e.rank, faults.Event{T: s.ArriveT, Kind: faults.KindDedup,
 				Layer: e.layer.name, Class: s.Class, Src: s.Src, Dst: e.rank, Seq: m.DupKey - 1})
@@ -355,14 +315,9 @@ func (e *Endpoint) TryRecvSpec(spec *MatchSpec) (*Message, PollState) {
 	e.sh.mu.Lock()
 	e.drainShardLocked()
 	st := PollState{Seq: e.seq.Load(), Depth: e.depth}
-	m, earl, has := e.takeSpecLocked(spec)
-	if m != nil {
-		e.sweepDupLocked(m)
-	}
+	var m *Message
+	m, st.Earliest, st.HasEarliest = e.takeLocked(spec)
 	e.sh.mu.Unlock()
-	if m == nil {
-		st.Earliest, st.HasEarliest = earl, has
-	}
 	return m, st
 }
 
@@ -371,37 +326,8 @@ func (e *Endpoint) PeekSpec(spec *MatchSpec) *Message {
 	e.sh.mu.Lock()
 	defer e.sh.mu.Unlock()
 	e.drainShardLocked()
-	m, _, _ := e.takeSpecLocked(spec)
-	if m != nil {
-		e.undoTakeLocked(m)
-	}
+	m, _, _ := e.findLocked(spec)
 	return m
-}
-
-// undoTakeLocked re-inserts a just-taken message at its stamp-ordered
-// position (it is always re-inserted immediately, so its bucket slot is
-// simply restored).
-func (e *Endpoint) undoTakeLocked(m *Message) {
-	cq := e.classes[m.Class]
-	b := &cq.srcs[m.Src]
-	// Find the insertion point: stamps are unique and ordered.
-	i := b.head
-	for ; i < len(b.msgs); i++ {
-		if b.msgs[i].aseq > m.aseq {
-			break
-		}
-	}
-	if i == b.head && b.head > 0 {
-		b.head--
-		b.msgs[b.head] = m
-	} else {
-		b.msgs = append(b.msgs, nil)
-		copy(b.msgs[i+1:], b.msgs[i:])
-		b.msgs[i] = m
-	}
-	cq.count++
-	e.depth++
-	e.present |= 1 << m.Class
 }
 
 // TryRecvPeek is TryRecvSpec fused with a probe: when the take under recv
@@ -414,17 +340,9 @@ func (e *Endpoint) TryRecvPeek(recv, peek *MatchSpec) (m *Message, st PollState,
 	e.sh.mu.Lock()
 	e.drainShardLocked()
 	st = PollState{Seq: e.seq.Load(), Depth: e.depth}
-	var earl int64
-	var has bool
-	m, earl, has = e.takeSpecLocked(recv)
-	if m != nil {
-		e.sweepDupLocked(m)
-	} else {
-		st.Earliest, st.HasEarliest = earl, has
-		pm, pearl, phas = e.takeSpecLocked(peek)
-		if pm != nil {
-			e.undoTakeLocked(pm)
-		}
+	m, st.Earliest, st.HasEarliest = e.takeLocked(recv)
+	if m == nil {
+		pm, pearl, phas = e.findLocked(peek)
 	}
 	e.sh.mu.Unlock()
 	return
@@ -438,30 +356,12 @@ func (e *Endpoint) PollStateFor(spec *MatchSpec) PollState {
 	defer e.sh.mu.Unlock()
 	e.drainShardLocked()
 	st := PollState{Seq: e.seq.Load(), Depth: e.depth}
-	activeSet := spec.Classes & e.present
-	for set := activeSet; set != 0; set &= set - 1 {
-		cq := e.classes[trailingZeros(set)]
-		if spec.Src != AnySrc {
-			scanEarliest(&cq.srcs[spec.Src], spec, &st)
-			continue
-		}
-		for s := range cq.srcs {
-			scanEarliest(&cq.srcs[s], spec, &st)
-		}
-	}
+	// With a gate no arrival passes, the find fails and its report covers
+	// every filter-matching message.
+	ungated := *spec
+	ungated.Before = math.MinInt64
+	_, st.Earliest, st.HasEarliest = e.findLocked(&ungated)
 	return st
-}
-
-func scanEarliest(b *bucket, spec *MatchSpec, st *PollState) {
-	for i := b.head; i < len(b.msgs); i++ {
-		m := b.msgs[i]
-		if spec.Filter != nil && !spec.Filter(m) {
-			continue
-		}
-		if !st.HasEarliest || m.ArriveT < st.Earliest {
-			st.Earliest, st.HasEarliest = m.ArriveT, true
-		}
-	}
 }
 
 // Recv blocks until a message matching match is queued, removes and returns
@@ -473,8 +373,7 @@ func (e *Endpoint) Recv(match func(*Message) bool) *Message {
 	defer e.sh.mu.Unlock()
 	for {
 		e.drainShardLocked()
-		if m, _, _ := e.takeSpecLocked(&spec); m != nil {
-			e.sweepDupLocked(m)
+		if m, _, _ := e.takeLocked(&spec); m != nil {
 			return m
 		}
 		e.waitLocked(FullDomain)
@@ -487,10 +386,7 @@ func (e *Endpoint) TryRecv(match func(*Message) bool) *Message {
 	e.sh.mu.Lock()
 	defer e.sh.mu.Unlock()
 	e.drainShardLocked()
-	m, _, _ := e.takeSpecLocked(&spec)
-	if m != nil {
-		e.sweepDupLocked(m)
-	}
+	m, _, _ := e.takeLocked(&spec)
 	return m
 }
 

@@ -46,10 +46,9 @@ func BenchmarkFabricSendRecv(b *testing.B) {
 // BenchmarkFabricWildcardMatch measures match cost on a deep queue fed by
 // several senders: each round, ranks 1..nSend burst a mix of tagged
 // messages at rank 0, which then drains them with exact (src, tag)
-// MatchSpec receives for the rarest tag — the indexed path, which lands
-// directly in the sender's bucket instead of scanning every queued
-// message in arrival order — followed by wildcard receives for the rest
-// (an arrival-ordered merge across all source buckets). This is the
+// MatchSpec receives for the rarest tag — which walk the class list past
+// every other sender's queued messages — followed by wildcard receives
+// for the rest (first eligible message from the head). This is the
 // unexpected-message pattern that dominates RandomAccess-style traffic.
 func BenchmarkFabricWildcardMatch(b *testing.B) {
 	b.ReportAllocs()

@@ -60,13 +60,13 @@ func TestSendArgsCopied(t *testing.T) {
 	}
 }
 
-// TestRandomizedNonOvertaking is a property test for the indexed match
-// queues: several senders interleave messages across random (class, tag)
-// streams while the receiver drains them through a random mix of wildcard
-// and exact matchers. Whatever the matcher shape, messages within one
-// (src, class, tag) stream must be received in send order — the bucketed
-// queues may never let a later message overtake an earlier one, and the
-// wildcard merge across buckets must follow arrival sequence. Run under
+// TestRandomizedNonOvertaking is a property test for the match queues:
+// several senders interleave messages across random (class, tag) streams
+// while the receiver drains them through a random mix of wildcard and
+// exact matchers. Whatever the matcher shape, messages within one
+// (src, class, tag) stream must be received in send order — the per-class
+// lists may never let a later message overtake an earlier one, and a
+// wildcard take across classes must follow arrival sequence. Run under
 // -race this also hammers the enqueue/take/wake paths from many goroutines.
 func TestRandomizedNonOvertaking(t *testing.T) {
 	const (

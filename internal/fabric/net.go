@@ -42,9 +42,14 @@ type Message struct {
 
 	aseq     uint64 // per-endpoint arrival stamp, assigned when the message becomes visible
 	pooled   bool   // from msgPool; Release recycles the struct
+	queued   bool   // linked into an endpoint's class list
 	dataBuf  *pbuf  // pooled payload backing, nil when unpooled
 	owner    *Net   // accounts pooled payload bytes; set at Send
 	argStore [inlineArgs]uint64
+
+	// Class-list links (endpoint.go): owned by the destination endpoint,
+	// under its shard mutex, while queued is set; nil otherwise.
+	qprev, qnext *Message
 }
 
 // Completer is implemented by origin-side request objects that need the

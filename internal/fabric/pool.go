@@ -40,8 +40,13 @@ func NewMessage() *Message {
 // the consumer that dequeued m may call it, after the payload has been
 // copied out (or, for AM dispatch, after the handler — which must not
 // retain the payload — has returned). Messages built by callers rather
-// than NewMessage only have their payload buffer recycled.
+// than NewMessage only have their payload buffer recycled. Releasing a
+// message that still sits in an endpoint's queue panics: recycling it would
+// hand its list links to the next NewMessage caller and corrupt the queue.
 func (m *Message) Release() {
+	if m.queued {
+		panic("fabric: Release of a message still queued at an endpoint (peeked, not taken?)")
+	}
 	if m.dataBuf != nil {
 		if m.owner != nil {
 			m.owner.poolBytes.Add(-int64(cap(m.dataBuf.b)))
@@ -57,6 +62,7 @@ func (m *Message) Release() {
 	m.Req = nil
 	m.DupKey = 0
 	m.aseq = 0
+	m.qprev, m.qnext = nil, nil
 	m.owner = nil
 	m.dataBuf = nil
 	m.pooled = false

@@ -10,17 +10,20 @@ import (
 // shared by Win and DynWin so the flush scan/blame sequences live in one
 // place instead of four near-identical copies.
 //
-// Two charging modes:
+// Every RMA op marks its target in a dirty-peer set, and the flush-all paths
+// walk that set in ascending rank order — never the whole communicator. The
+// two charging modes differ only in what the ranks *between* dirty peers
+// cost:
 //
-//   - Default (paper-faithful): FlushAll and friends scan every rank of the
-//     communicator at FlushScanNS apiece — the MPICH-derivative behaviour
-//     whose linear growth the paper charts in Figure 4. This path is kept
-//     bit-exact with the pre-refactor code.
+//   - Default (paper-faithful): each clean rank is still charged FlushScanNS
+//     — the MPICH-derivative scan whose linear growth the paper charts in
+//     Figure 4 — as one advance per gap, so the virtual charge is Size ×
+//     FlushScanNS while the host walk is |dirty|.
 //
-//   - Sparse (fabric.MPICosts.SparseFlush, foMPI-like): the epoch tracks a
-//     dirty-peer set updated by every RMA op, and the flush paths walk only
-//     |dirty| peers. The set is cleared at epoch boundaries (FlushAll,
-//     RflushAll, LockAll) and per peer on targeted Flush.
+//   - Sparse (fabric.MPICosts.SparseFlush, foMPI-like): clean ranks are free.
+//
+// The set is cleared at FlushAll, RflushAll and LockAll, and per peer on
+// targeted Flush. Invariant: every rank with hasPending is in dirty.
 type epoch struct {
 	env  *Env
 	comm *Comm
@@ -34,10 +37,10 @@ type epoch struct {
 	pendingOps   []int64
 	pendingTotal int64
 
-	// Scalable-sync mode state. dirty holds the comm ranks this epoch has
-	// touched; peerScratch and worldScratch are reusable buffers for the
-	// sorted walk (sorted iteration keeps the clock deterministic) and the
-	// sanitizer's world-rank fence list.
+	// dirty holds the comm ranks this epoch has touched; peerScratch and
+	// worldScratch are reusable buffers for the sorted walk (sorted iteration
+	// keeps the clock deterministic) and the sanitizer's world-rank fence
+	// list.
 	sparse       bool
 	dirty        fabric.PeerSet
 	peerScratch  []int
@@ -53,15 +56,13 @@ func (ep *epoch) epInit(env *Env, comm *Comm) {
 	ep.hasPending = make([]bool, n)
 	ep.pendingOps = make([]int64, n)
 	ep.sparse = env.costs().SparseFlush
-	if ep.sparse {
-		ep.dirty.Init(n)
-	}
+	ep.dirty.Init(n)
 }
 
-// notePending records a remote completion timestamp for target and, in
-// sparse mode, marks the peer dirty. Every issuing path (Put/Get/
-// Accumulate and the atomics) funnels through here, so the dirty set is
-// exactly "peers this epoch touched".
+// notePending records a remote completion timestamp for target and marks
+// the peer dirty. Every issuing path (Put/Get/Accumulate and the atomics)
+// funnels through here, so the dirty set is exactly "peers this epoch
+// touched".
 func (ep *epoch) notePending(target int, t int64) {
 	if t > ep.pendingT[target] {
 		ep.pendingT[target] = t
@@ -79,9 +80,7 @@ func (ep *epoch) notePending(target int, t int64) {
 // It also drives the on-demand connection model: first contact with a
 // peer charges its eager-pool state.
 func (ep *epoch) touch(target int) {
-	if ep.sparse {
-		ep.dirty.Add(target)
-	}
+	ep.dirty.Add(target)
 	ep.env.connect(ep.comm.ranks[target])
 }
 
@@ -93,7 +92,7 @@ func (ep *epoch) clearPending(target int) {
 }
 
 // dirtyPeers returns the touched comm ranks in ascending order, reusing
-// the epoch's scratch buffer. Sparse mode only.
+// the epoch's scratch buffer.
 func (ep *epoch) dirtyPeers() []int {
 	ep.peerScratch = ep.dirty.AppendSorted(ep.peerScratch[:0])
 	return ep.peerScratch
@@ -129,9 +128,7 @@ func (ep *epoch) flushTarget(target int) {
 	} else {
 		p.Advance(c.FlushScanNS)
 	}
-	if ep.sparse {
-		ep.dirty.Remove(target)
-	}
+	ep.dirty.Remove(target)
 	if sh := ep.env.sh; sh != nil {
 		end := p.Now()
 		sh.Record(obs.LayerMPI, obs.OpFlush, ep.comm.ranks[target], 0, 0, t0, end)
@@ -157,10 +154,10 @@ func (ep *epoch) flushTarget(target int) {
 	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
 
-// flushAllEpoch charges the MPI_WIN_FLUSH_ALL sequence. Default mode scans
-// every rank of the communicator (the §4.1 bottleneck); sparse mode walks
-// the dirty set in ascending rank order and clears it — cost proportional
-// to what the epoch touched, not to world size.
+// flushAllEpoch charges the MPI_WIN_FLUSH_ALL sequence: one walk over the
+// dirty set in ascending rank order, clearing it. Default mode also charges
+// the clean ranks in the gaps (the §4.1 bottleneck, Size × FlushScanNS in
+// virtual time); sparse mode charges only what the epoch touched.
 func (ep *epoch) flushAllEpoch() {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -168,36 +165,27 @@ func (ep *epoch) flushAllEpoch() {
 	t0 := p.Now()
 	var waited int64
 	flushed := 0
-	scanned := ep.comm.Size()
-	var peers []int
+	peers := ep.dirtyPeers()
+	size := ep.comm.Size()
+	cleanNS, scanned := c.FlushScanNS, size
 	if ep.sparse {
-		peers = ep.dirtyPeers()
-		scanned = len(peers)
-		for _, t := range peers {
-			p.Advance(c.FlushScanNS)
-			if ep.hasPending[t] {
-				pre := p.Now()
-				p.AdvanceTo(ep.pendingT[t])
-				waited += p.Now() - pre
-				p.Advance(c.FlushNS)
-				ep.clearPending(t)
-				flushed++
-			}
-		}
-		ep.dirty.Clear()
-	} else {
-		for t := 0; t < ep.comm.Size(); t++ {
-			p.Advance(c.FlushScanNS)
-			if ep.hasPending[t] {
-				pre := p.Now()
-				p.AdvanceTo(ep.pendingT[t])
-				waited += p.Now() - pre
-				p.Advance(c.FlushNS)
-				ep.clearPending(t)
-				flushed++
-			}
+		cleanNS, scanned = 0, len(peers)
+	}
+	next := 0 // first rank the scan has not charged yet
+	for _, t := range peers {
+		p.Advance(cleanNS*int64(t-next) + c.FlushScanNS)
+		next = t + 1
+		if ep.hasPending[t] {
+			pre := p.Now()
+			p.AdvanceTo(ep.pendingT[t])
+			waited += p.Now() - pre
+			p.Advance(c.FlushNS)
+			ep.clearPending(t)
+			flushed++
 		}
 	}
+	p.Advance(cleanNS * int64(size-next))
+	ep.dirty.Clear()
 	if sh := ep.env.sh; sh != nil {
 		end := p.Now()
 		sh.Record(obs.LayerMPI, obs.OpFlushAll, -1, 0, scanned, t0, end)
@@ -229,22 +217,20 @@ func (ep *epoch) flushAllEpoch() {
 
 // rflushAllEpoch charges the request-generating flush-all (the paper's §5
 // MPI_WIN_RFLUSH proposal) and returns the completion timestamp for the
-// request. Only targets with outstanding operations are visited in either
-// mode; sparse mode additionally clears the dirty set, closing the epoch
-// window the request covers.
+// request. Only targets with outstanding operations are charged, in either
+// mode; the dirty set is cleared, closing the epoch window the request
+// covers.
 func (ep *epoch) rflushAllEpoch() int64 {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
 	p := ep.env.p
 	done := p.Now()
 	t0 := p.Now()
-	any := false
 	scanned := 0
-	visit := func(t int) {
+	for _, t := range ep.dirtyPeers() {
 		if !ep.hasPending[t] {
-			return
+			continue
 		}
-		any = true
 		scanned++
 		p.Advance(c.FlushScanNS)
 		if tt := ep.pendingT[t] + c.FlushNS; tt > done {
@@ -252,17 +238,8 @@ func (ep *epoch) rflushAllEpoch() int64 {
 		}
 		ep.clearPending(t)
 	}
-	if ep.sparse {
-		for _, t := range ep.dirtyPeers() {
-			visit(t)
-		}
-		ep.dirty.Clear()
-	} else {
-		for t := 0; t < ep.comm.Size(); t++ {
-			visit(t)
-		}
-	}
-	if any {
+	ep.dirty.Clear()
+	if scanned > 0 {
 		if lat := p.Now() + ep.env.net.Params().LatencyNS; lat > done {
 			done = lat
 		}
@@ -286,7 +263,8 @@ func (ep *epoch) rflushAllEpoch() int64 {
 // lockAllEpoch charges epoch-open cost. MPICH derivatives lazily acquire
 // every rank (FlushScanNS × Size even under MPI_MODE_NOCHECK); sparse mode
 // defers per-peer acquisition to first use, so opening is O(1). Also the
-// dirty set's epoch-boundary reset.
+// dirty set's epoch-boundary reset — unless a single-target Lock epoch
+// still has unflushed operations, which the next FlushAll must find.
 func (ep *epoch) lockAllEpoch() {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -295,6 +273,8 @@ func (ep *epoch) lockAllEpoch() {
 	scanned := ep.comm.Size()
 	if ep.sparse {
 		scanned = 1
+	}
+	if ep.pendingTotal == 0 {
 		ep.dirty.Clear()
 	}
 	p.Advance(c.FlushScanNS * int64(scanned))
@@ -310,10 +290,5 @@ func (ep *epoch) lockAllEpoch() {
 	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
 
-// dirtyCount exposes the dirty-set size for tests; -1 in default mode.
-func (ep *epoch) dirtyCount() int {
-	if !ep.sparse {
-		return -1
-	}
-	return ep.dirty.Len()
-}
+// dirtyCount exposes the dirty-set size for tests.
+func (ep *epoch) dirtyCount() int { return ep.dirty.Len() }

@@ -22,7 +22,7 @@ type winShared struct {
 //
 // The embedded epoch carries the origin-side completion tracking whose
 // linear FlushAll scan is the MPICH behaviour dominating the paper's
-// Figure 4 — and, in scalable-sync mode, the dirty-peer set that fixes it.
+// Figure 4 — and the dirty-peer set that, in scalable-sync mode, fixes it.
 type Win struct {
 	epoch
 	sh   *winShared
@@ -30,6 +30,7 @@ type Win struct {
 
 	lockedAll bool
 	locked    []bool
+	nlocked   int // number of set entries in locked
 
 	shared bool // created by WinAllocateShared
 	freed  bool
@@ -132,6 +133,7 @@ func (w *Win) Lock(target int) error {
 		return fmt.Errorf("mpi: Lock(%d) inside an existing epoch", target)
 	}
 	w.locked[target] = true
+	w.nlocked++
 	t0 := w.env.p.Now()
 	w.env.p.Advance(w.env.net.Params().LatencyNS) // lock request one-way; grant piggybacked
 	if sh := w.env.sh; sh != nil {
@@ -153,6 +155,7 @@ func (w *Win) Unlock(target int) error {
 		return err
 	}
 	w.locked[target] = false
+	w.nlocked--
 	return nil
 }
 
@@ -417,17 +420,8 @@ func (w *Win) FlushAll() error {
 	if w.freed {
 		return fmt.Errorf("mpi: FlushAll on freed window")
 	}
-	if !w.lockedAll {
-		all := true
-		for _, l := range w.locked {
-			if !l {
-				all = false
-				break
-			}
-		}
-		if !all {
-			return fmt.Errorf("mpi: FlushAll outside a lock-all epoch")
-		}
+	if !w.lockedAll && w.nlocked < len(w.locked) {
+		return fmt.Errorf("mpi: FlushAll outside a lock-all epoch")
 	}
 	w.flushAllEpoch()
 	return nil

@@ -23,22 +23,11 @@ func runSparseMPI(t *testing.T, n int, fn func(*Env) error) {
 	}
 }
 
-func TestDirtySetDisabledInDefaultMode(t *testing.T) {
-	runMPI(t, 2, func(e *Env) error {
-		c := e.CommWorld()
-		w, err := WinAllocate(c, 64)
-		if err != nil {
-			return err
-		}
-		if got := w.dirtyCount(); got != -1 {
-			return fmt.Errorf("default mode dirtyCount = %d, want -1 (not tracked)", got)
-		}
-		return c.Barrier()
-	})
-}
-
+// TestDirtySetTracksRMAOps: both charging modes keep the same dirty-peer set
+// (the flush walks visit nothing else), so the bookkeeping is checked under
+// each.
 func TestDirtySetTracksRMAOps(t *testing.T) {
-	runSparseMPI(t, 5, func(e *Env) error {
+	scenario := func(e *Env) error {
 		c := e.CommWorld()
 		w, err := WinAllocate(c, 64)
 		if err != nil {
@@ -151,7 +140,9 @@ func TestDirtySetTracksRMAOps(t *testing.T) {
 			return err
 		}
 		return c.Barrier()
-	})
+	}
+	t.Run("flat", func(t *testing.T) { runMPI(t, 5, scenario) })
+	t.Run("sparse", func(t *testing.T) { runSparseMPI(t, 5, scenario) })
 }
 
 func TestFlushAllCostLinearInDirtyPeers(t *testing.T) {

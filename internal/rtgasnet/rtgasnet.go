@@ -45,9 +45,11 @@ type Options struct {
 	AMWrite bool
 }
 
-// registry is the world-shared table of registered coarray memory.
+// registry is the world-shared table of registered coarray memory. Every
+// remote put/get looks a slab up; registration and release are rare, so
+// readers share the lock.
 type registry struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	slabs map[regKey][]byte
 }
 
@@ -63,9 +65,10 @@ func (r *registry) set(id uint64, world int, mem []byte) {
 }
 
 func (r *registry) get(id uint64, world int) []byte {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.slabs[regKey{id, world}]
+	r.mu.RLock()
+	mem := r.slabs[regKey{id, world}]
+	r.mu.RUnlock()
+	return mem
 }
 
 func (r *registry) drop(id uint64, world int) {
