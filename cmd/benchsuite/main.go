@@ -6,8 +6,7 @@
 //	benchsuite [-exp fig3,fig4 | -exp all] [-maxp 256] [-quick] [-results-out results.txt]
 //
 // Every file-producing flag follows the -<plane>-out convention:
-// -results-out, -csv-out, -stats-out, -scaling-out, -parallel-out. The
-// pre-1.0 spellings -out and -csv remain as deprecated aliases.
+// -results-out, -csv-out, -stats-out, -scaling-out.
 //
 // Experiment ids mirror the paper artifacts (fig1..fig12, tab1,
 // ubench-mira, ubench-edison, ubench-fusion, ablation-rflush); see
@@ -35,20 +34,14 @@ func main() {
 		quick    = flag.Bool("quick", false, "shrink workloads (smoke test)")
 		paper    = flag.Bool("paper", false, "also print the paper's original series for comparison")
 		out      = flag.String("results-out", "", "also append formatted results to this file")
-		outOld   = flag.String("out", "", "deprecated alias for -results-out")
 		csvOut   = flag.String("csv-out", "", "also append CSV rows to this file")
-		csvOld   = flag.String("csv", "", "deprecated alias for -csv-out")
-		shards   = flag.Int("shards", 0, "fabric delivery shards (host tuning, clock-pure; 0 = derive from GOMAXPROCS)")
 		statsOut = flag.String("stats-out", "", "append one JSON line of runtime counters per job to this file")
 		scaleOut = flag.String("scaling-out", "", "write the scaling experiment's ScalingReport JSON (BENCH_scaling.json) to this file")
-		parOut   = flag.String("parallel-out", "", "write the parallel experiment's ParallelReport JSON (wall-clock vs GOMAXPROCS curves) to this file")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		baseline = flag.String("baseline", "", "BENCH_*.json baseline file with a \"gate\" section")
 		gate     = flag.Bool("gate", false, "run regression gate probes against -baseline and exit nonzero on regression")
 	)
 	flag.Parse()
-	alias(out, *outOld, "-out", "-results-out")
-	alias(csvOut, *csvOld, "-csv", "-csv-out")
 
 	if *gate {
 		if *baseline == "" {
@@ -65,7 +58,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchsuite: unknown platform %q\n", *platform)
 			os.Exit(2)
 		}
-		pf = withShards(pf, *shards)
 		results, ok := bench.RunGate(b, pf)
 		fmt.Print(bench.FormatGateResults(results))
 		if !ok {
@@ -87,8 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown platform %q\n", *platform)
 		os.Exit(2)
 	}
-	pf = withShards(pf, *shards)
-	opts := bench.Options{Platform: pf, MaxP: *maxP, Quick: *quick, ScalingOut: *scaleOut, ParallelOut: *parOut}
+	opts := bench.Options{Platform: pf, MaxP: *maxP, Quick: *quick, ScalingOut: *scaleOut}
 
 	var ids []string
 	if *expFlag == "all" {
@@ -178,28 +169,4 @@ func main() {
 	if failed > 0 {
 		os.Exit(1)
 	}
-}
-
-// alias folds a deprecated flag spelling into its -<plane>-out replacement:
-// the new name wins when both are given, and any use of the old one earns a
-// stderr nudge.
-func alias(dst *string, old, oldName, newName string) {
-	if old == "" {
-		return
-	}
-	if *dst == "" {
-		*dst = old
-	}
-	fmt.Fprintf(os.Stderr, "benchsuite: %s is deprecated, use %s\n", oldName, newName)
-}
-
-// withShards pins the fabric delivery-shard count on a copy of the platform
-// preset (clock-pure host tuning; 0 leaves the GOMAXPROCS derivation).
-func withShards(pf *fabric.Params, shards int) *fabric.Params {
-	if shards <= 0 {
-		return pf
-	}
-	cp := *pf
-	cp.DeliveryShards = shards
-	return &cp
 }

@@ -63,7 +63,6 @@ func main() {
 		faultsSpec = flag.String("faults", "", "deterministic fault plan: a JSON plan file, \"canonical\" (the 1%-drop chaos plan), or \"canonical:SEED\"")
 		faultLog   = flag.Bool("fault-log", false, "print the injected-fault decision log after the run (implies reproducible ordering)")
 		postmortem = flag.String("postmortem-out", "", "arm the crash-triggered flight recorder: write a deterministic signature-stamped bundle under this directory when an image crashes or the job fails")
-		postOld    = flag.String("postmortem", "", "deprecated alias for -postmortem-out")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the run")
 		wallprofOn = flag.Bool("wallprof", false, "host wall-clock profiling plane: per-component host-time blame with a wall-vs-virtual divergence report (clock-pure: virtual results are bit-identical with or without it)")
 		wallOut    = flag.String("wallprof-out", "", "write cpu.pprof, mutex.pprof, block.pprof and wallprof.json into this directory (implies -wallprof)")
@@ -78,24 +77,12 @@ func main() {
 		cgNY      = flag.Int("cg-ny", 512, "cgpop: grid height")
 		cgIters   = flag.Int("cg-iters", 60, "cgpop: solver iterations")
 		cgPull    = flag.Bool("cg-pull", false, "cgpop: use PULL halo exchange")
-		shards    = flag.Int("shards", 0, "fabric delivery shards (host tuning, clock-pure; 0 = derive from GOMAXPROCS)")
 	)
 	flag.Parse()
-	if *postOld != "" {
-		if *postmortem == "" {
-			*postmortem = *postOld
-		}
-		fmt.Fprintln(os.Stderr, "cafrun: -postmortem is deprecated, use -postmortem-out")
-	}
 
 	pf := fabric.Platform(*platform)
 	if pf == nil {
 		fail("unknown platform %q", *platform)
-	}
-	if *shards > 0 {
-		cp := *pf
-		cp.DeliveryShards = *shards
-		pf = &cp
 	}
 	if *noSRQ {
 		cp := *pf

@@ -18,7 +18,7 @@
 // A cycle — any edge chain returning to its origin — is reported on every
 // own-package edge participating in it. The acyclic partial order itself is
 // pinned as a golden artifact by the pass's repo test (LOCKORDER.golden):
-// the upcoming sharded-fabric locks must extend the order, not break it.
+// a new runtime lock must extend the order, not break it.
 //
 // What it cannot prove: orders enforced by runtime state (try-locks,
 // channel handoffs) and locks reached through function values. Condition-

@@ -50,10 +50,6 @@ type Options struct {
 	// ScalingReport (flush-scan share, SRQ-stall share, per-image obs
 	// memory vs P) as JSON to this path — the BENCH_scaling.json artifact.
 	ScalingOut string
-	// ParallelOut, when set, makes the "parallel" experiment write its
-	// ParallelReport (host wall-clock curves vs GOMAXPROCS per workload and
-	// substrate) as JSON to this path.
-	ParallelOut string
 }
 
 func (o Options) withDefaults() Options {

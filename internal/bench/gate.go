@@ -11,16 +11,13 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"runtime"
 	"strings"
-	"time"
 
 	"cafmpi/caf"
 	"cafmpi/internal/fabric"
 	"cafmpi/internal/hpcc"
 	"cafmpi/internal/obs"
 	"cafmpi/internal/obs/critpath"
-	"cafmpi/internal/obs/wallprof"
 )
 
 // GateMetric is one gated quantity of the checked-in baseline. Name is
@@ -164,8 +161,6 @@ func gateProbe(key string, platform *fabric.Params) (map[string]float64, error) 
 		return probePingPong(caf.MPI, platform)
 	case "scaling-sparse/mpi/np1024":
 		return probeSparseScaling(caf.MPI, 1024, platform)
-	case "parallel/ra/mpi":
-		return probeParallel(caf.MPI, platform)
 	default:
 		return nil, fmt.Errorf("bench: unknown gate probe %q", key)
 	}
@@ -219,82 +214,6 @@ func probeSparseScaling(sub caf.Substrate, np int, platform *fabric.Params) (map
 	if rep := critpath.Analyze(obs.Enabled(w), clocks); rep != nil && rep.FinishNS > 0 {
 		tot := rep.ComponentTotals()
 		vals["flush_scan_share"] = float64(tot[obs.CompFlushScan.String()]) / float64(rep.FinishNS)
-	}
-	return vals, nil
-}
-
-// probeParallel is the gate's only wall-clock probe: the tier-1 RA
-// workload at GOMAXPROCS=1, 4 and 8, best-of-3 each, plus one
-// wallprof-enabled run at GOMAXPROCS=8 that reports the fabric/absorb host
-// wall share under the sharded delivery engine. It gates gross host-side
-// regressions (a serializing lock, an accidental O(P^2) hot loop, the
-// match path convoying on a global mutex again) without pretending shared
-// CI machines can hold tight wall-clock bands — the baseline carries very
-// wide direction-gated tolerances, sized so only a multiple-x slowdown (or
-// a collapse of the multicore speedups to well below the single-thread
-// line) trips it.
-func probeParallel(sub caf.Substrate, platform *fabric.Params) (map[string]float64, error) {
-	raBody := func(im *caf.Image) error {
-		_, err := hpcc.RandomAccess(im, hpcc.RAConfig{TableBits: 8, UpdatesPerImage: 512, BatchSize: 128})
-		return err
-	}
-	job := func() (float64, error) {
-		cfg := caf.Config{Substrate: sub, Platform: platform}
-		start := time.Now() //caflint:allow wallclock -- the gated quantity IS host wall time
-		_, err := caf.RunWorld(8, cfg, raBody)
-		return float64(time.Since(start)) / 1e6, err //caflint:allow wallclock -- host wall time
-	}
-	bestOf3 := func() (float64, error) {
-		best := math.Inf(1)
-		for i := 0; i < 3; i++ {
-			ms, err := job()
-			if err != nil {
-				return 0, err
-			}
-			if ms < best {
-				best = ms
-			}
-		}
-		return best, nil
-	}
-	prev := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(prev)
-	g1, err := bestOf3()
-	if err != nil {
-		return nil, err
-	}
-	runtime.GOMAXPROCS(4)
-	g4, err := bestOf3()
-	if err != nil {
-		return nil, err
-	}
-	runtime.GOMAXPROCS(8)
-	g8, err := bestOf3()
-	if err != nil {
-		return nil, err
-	}
-	vals := map[string]float64{"wall_ms_g1": g1}
-	if g4 > 0 {
-		vals["speedup_g4"] = g1 / g4
-	}
-	if g8 > 0 {
-		vals["speedup_g8"] = g1 / g8
-	}
-	// Host-time blame at GOMAXPROCS=8: the divergence report's wall share
-	// for the receive-side match path. The ceiling on this metric is what
-	// pins the sharded delivery engine's win — before sharding, the absorb
-	// site's share was the dominant divergence row (EXPERIMENTS.md).
-	wcfg := caf.Config{Substrate: sub, Platform: platform, Diag: caf.Diag{WallProf: true}}
-	w, err := caf.RunWorld(8, wcfg, raBody)
-	if err != nil {
-		return nil, err
-	}
-	if rep := wallprof.Enabled(w).Analyze(nil, 0); rep != nil {
-		for _, row := range rep.Rows {
-			if row.Component == "fabric/absorb" {
-				vals["absorb_share_g8"] = row.WallShare
-			}
-		}
 	}
 	return vals, nil
 }

@@ -9,7 +9,6 @@ import (
 
 	"cafmpi/internal/faults"
 	"cafmpi/internal/obs"
-	"cafmpi/internal/obs/wallprof"
 )
 
 // The receive path. Arriving messages are appended to one intrusive list per
@@ -25,10 +24,8 @@ import (
 // source, plus whether pokes count); injection and Poke wake only waiters
 // whose domain intersects the event instead of broadcasting to everyone.
 //
-// The queue lock is the owning shard's (shard.go): endpoints of one shard
-// share a mutex, cross-shard deliveries arrive through the shard's inject
-// ring, and every queue-reading operation drains that ring first so ring
-// residency is never observable.
+// Each endpoint owns its queue lock, as each image of the modelled machine
+// owns its receive queues: senders to different images never share a lock.
 
 // AnySrc in a MatchSpec or WaitDomain matches messages from every source.
 const AnySrc = -1
@@ -107,40 +104,31 @@ var FullDomain = WaitDomain{Classes: AllClasses, Src: AnySrc, Pokes: true}
 type Endpoint struct {
 	layer *Layer
 	rank  int
-	sh    *shard        // owning delivery shard; the queue lock lives there
-	wrec  *wallprof.Rec // owner image's wall-clock recorder, nil when off
 
-	// seq counts arrivals and pokes. Same-shard injection mutates it under
-	// the shard mutex; cross-shard producers bump it at ring-push time. It
-	// is read with a plain atomic load, so poll loops sample activity
-	// without contending for the queue lock.
+	// seq counts arrivals and pokes. It is written under mu and read with a
+	// plain atomic load, so poll loops sample activity without contending
+	// for the queue lock.
 	seq atomic.Uint64
 
-	// waiters counts goroutines registered in (or entering) waitLocked.
-	// Cross-shard producers load it after pushing to the inject ring: when
-	// zero they skip the wake handshake entirely; when nonzero they fence
-	// through the shard mutex and broadcast (see waitLocked for why the
-	// pairing cannot miss a wakeup).
-	waiters atomic.Int32
-
-	cond    *sync.Cond // on the shard mutex; woken only for this endpoint's events
-	classes [classLimit]classQueue
-	present ClassSet // classes with at least one queued message
-	nextSeq uint64   // next arrival stamp
-	depth   int      // total queued messages
+	mu      sync.Mutex
+	cond    sync.Cond              // on mu; woken only for this endpoint's events
+	classes [classLimit]classQueue // guarded by mu
+	present ClassSet               // classes with at least one queued message; guarded by mu
+	nextSeq uint64                 // next arrival stamp; guarded by mu
+	depth   int                    // total queued messages; guarded by mu
 
 	// Registered domains of currently blocked waiters. In this simulator at
 	// most the endpoint's owning image blocks on it (plus transient test
 	// harness waiters), so a tiny inline array suffices; overflow falls back
 	// to always-wake, which is merely the old Broadcast behavior.
-	doms        [2]WaitDomain
-	ndoms       int
-	domOverflow int
+	doms        [2]WaitDomain // guarded by mu
+	ndoms       int           // guarded by mu
+	domOverflow int           // guarded by mu
 }
 
-func newEndpoint(l *Layer, rank int, sh *shard) *Endpoint {
-	e := &Endpoint{layer: l, rank: rank, sh: sh, wrec: l.net.wp.Rec(rank)}
-	e.cond = sync.NewCond(&sh.mu)
+func newEndpoint(l *Layer, rank int) *Endpoint {
+	e := &Endpoint{layer: l, rank: rank}
+	e.cond.L = &e.mu
 	return e
 }
 
@@ -149,23 +137,6 @@ func newEndpoint(l *Layer, rank int, sh *shard) *Endpoint {
 // depend on the world size and removal from the middle is O(1).
 type classQueue struct {
 	head, tail *Message
-}
-
-// drainShardLocked makes every delivery parked in the owning shard's inject
-// ring visible. Every queue-reading operation calls it right after taking
-// the shard mutex, so a reader can never observe a message as "sent but not
-// queued" any longer than it could under the old per-endpoint mutex. The
-// empty check is one atomic load; only drains that move entries are billed
-// (to this endpoint's owner, the goroutine doing the work) under the
-// wallprof fabric/drain site.
-func (e *Endpoint) drainShardLocked() {
-	s := e.sh
-	if s.ring.n.Load() == 0 {
-		return
-	}
-	wt := e.wrec.Begin(wallprof.SiteFabricDrain)
-	s.drainLocked()
-	e.wrec.End(wallprof.SiteFabricDrain, wt)
 }
 
 func (e *Endpoint) enqueueLocked(m *Message) (wake bool) {
@@ -312,20 +283,18 @@ func (e *Endpoint) sweepDupLocked(m *Message) {
 // also carries the earliest arrival among messages matching everything but
 // the Before gate.
 func (e *Endpoint) TryRecvSpec(spec *MatchSpec) (*Message, PollState) {
-	e.sh.mu.Lock()
-	e.drainShardLocked()
+	e.mu.Lock()
 	st := PollState{Seq: e.seq.Load(), Depth: e.depth}
 	var m *Message
 	m, st.Earliest, st.HasEarliest = e.takeLocked(spec)
-	e.sh.mu.Unlock()
+	e.mu.Unlock()
 	return m, st
 }
 
 // PeekSpec returns (without removing) the message TryRecvSpec would take.
 func (e *Endpoint) PeekSpec(spec *MatchSpec) *Message {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	e.drainShardLocked()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	m, _, _ := e.findLocked(spec)
 	return m
 }
@@ -337,14 +306,13 @@ func (e *Endpoint) PeekSpec(spec *MatchSpec) *Message {
 // filter-passing message fails the time gate, so the gate-failing earliest
 // equals the ungated earliest PollStateFor would report.
 func (e *Endpoint) TryRecvPeek(recv, peek *MatchSpec) (m *Message, st PollState, pm *Message, pearl int64, phas bool) {
-	e.sh.mu.Lock()
-	e.drainShardLocked()
+	e.mu.Lock()
 	st = PollState{Seq: e.seq.Load(), Depth: e.depth}
 	m, st.Earliest, st.HasEarliest = e.takeLocked(recv)
 	if m == nil {
 		pm, pearl, phas = e.findLocked(peek)
 	}
-	e.sh.mu.Unlock()
+	e.mu.Unlock()
 	return
 }
 
@@ -352,9 +320,8 @@ func (e *Endpoint) TryRecvPeek(recv, peek *MatchSpec) (m *Message, st PollState,
 // depth, and earliest arrival among filter-matching messages — without
 // dequeuing anything and under one lock acquisition.
 func (e *Endpoint) PollStateFor(spec *MatchSpec) PollState {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	e.drainShardLocked()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	st := PollState{Seq: e.seq.Load(), Depth: e.depth}
 	// With a gate no arrival passes, the find fails and its report covers
 	// every filter-matching message.
@@ -369,10 +336,9 @@ func (e *Endpoint) PollStateFor(spec *MatchSpec) PollState {
 // non-overtaking guarantee for any (src, class, tag) stream.
 func (e *Endpoint) Recv(match func(*Message) bool) *Message {
 	spec := matchAll(match)
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for {
-		e.drainShardLocked()
 		if m, _, _ := e.takeLocked(&spec); m != nil {
 			return m
 		}
@@ -383,9 +349,8 @@ func (e *Endpoint) Recv(match func(*Message) bool) *Message {
 // TryRecv is Recv without blocking; it returns nil when nothing matches.
 func (e *Endpoint) TryRecv(match func(*Message) bool) *Message {
 	spec := matchAll(match)
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	e.drainShardLocked()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	m, _, _ := e.takeLocked(&spec)
 	return m
 }
@@ -421,19 +386,10 @@ func (e *Endpoint) Seq() uint64 {
 }
 
 // waitLocked registers d and blocks until the cond is signaled for it.
-// Callers must hold the shard mutex and re-check their predicate on return.
-//
-// The park handshake with cross-shard producers cannot miss a wakeup: the
-// waiter registers its domain and publishes its presence (waiters.Add)
-// under the shard mutex, samples seq, then drains the ring once more
-// before parking. A producer loads waiters around its ring push. A load
-// that sees the waiter routes the delivery through the locked path (or
-// drains the just-pushed entry under the lock), where enqueueLocked bumps
-// seq and does the domain-filtered wake — and the mutex serializes with
-// the park, since sync.Cond.Wait registers its ticket before releasing the
-// lock. A load that misses the waiter means the push is ordered before the
-// waiter's registration, so the waiter's own pre-park drain delivers the
-// message, the endpoint's seq moves, and the park is skipped.
+// Callers must hold e.mu and re-check their predicate on return. Every event
+// a waiter can be woken for happens under e.mu, and sync.Cond.Wait registers
+// its ticket before releasing the lock, so a wakeup cannot fall between the
+// caller's check and the park.
 func (e *Endpoint) waitLocked(d WaitDomain) {
 	slot := -1
 	if e.ndoms < len(e.doms) {
@@ -443,13 +399,7 @@ func (e *Endpoint) waitLocked(d WaitDomain) {
 	} else {
 		e.domOverflow++
 	}
-	e.waiters.Add(1)
-	s0 := e.seq.Load()
-	e.drainShardLocked()
-	if e.seq.Load() == s0 {
-		e.cond.Wait()
-	}
-	e.waiters.Add(-1)
+	e.cond.Wait()
 	if slot >= 0 {
 		// Waiters deregister in any order; swap-remove our domain by value
 		// (domains are plain data, any equal entry is interchangeable).
@@ -477,8 +427,8 @@ func (e *Endpoint) WaitActivity(since uint64) uint64 {
 // condition they sleep on, and d must cover every event that could satisfy
 // that condition — including pokes when completion callbacks signal it.
 func (e *Endpoint) WaitActivityFor(since uint64, d WaitDomain) uint64 {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	for e.seq.Load() <= since {
 		e.waitLocked(d)
 	}
@@ -490,9 +440,9 @@ func (e *Endpoint) WaitActivityFor(since uint64, d WaitDomain) uint64 {
 // receivers re-check their loop condition — and observe the error — after
 // an image crash or a job cancellation.
 func (e *Endpoint) WakeAll() {
-	e.sh.mu.Lock()
+	e.mu.Lock()
 	e.seq.Add(1)
-	e.sh.mu.Unlock()
+	e.mu.Unlock()
 	e.cond.Broadcast()
 }
 
@@ -500,10 +450,10 @@ func (e *Endpoint) WakeAll() {
 // enqueuing a message. Request-completion callbacks use it so a single wait
 // loop can cover both message arrival and remote completion events.
 func (e *Endpoint) Poke() {
-	e.sh.mu.Lock()
+	e.mu.Lock()
 	e.seq.Add(1)
 	wake := e.wakeNeededLocked(0, 0, true)
-	e.sh.mu.Unlock()
+	e.mu.Unlock()
 	if wake {
 		e.cond.Broadcast()
 	}
@@ -512,8 +462,7 @@ func (e *Endpoint) Poke() {
 // QueueLen returns the current queue depth (used by tests and the SRQ
 // contention diagnostics).
 func (e *Endpoint) QueueLen() int {
-	e.sh.mu.Lock()
-	defer e.sh.mu.Unlock()
-	e.drainShardLocked()
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	return e.depth
 }

@@ -138,8 +138,8 @@ func TestDuplicateDedup(t *testing.T) {
 }
 
 // TestDuplicateDedupStress: the original and its injected duplicate travel
-// as one Delivery through Inject and become visible atomically (one ring
-// entry, one shard-lock hold), so a fast concurrent receiver
+// as one Delivery through Inject and become visible atomically (one hold
+// of the destination endpoint's mutex), so a fast concurrent receiver
 // can never absorb the original before the duplicate exists — the window
 // that would orphan the duplicate and deliver it as a real second copy.
 // Every original is absorbed exactly once, every sibling swept exactly once.

@@ -75,7 +75,7 @@ func (r *refQueue) ungatedEarliest(s *MatchSpec) (earliest int64, has bool) {
 }
 
 const (
-	mqRanks   = 6 // destination is rank 0; with 2 shards, sources 3..5 ride the inject ring
+	mqRanks   = 6 // destination is rank 0
 	mqClasses = 4
 	mqTags    = 3
 )
@@ -156,12 +156,12 @@ func msgID(m *Message) int64 {
 	return int64(m.Args[0])
 }
 
-// runMatchProgram interprets prog against an endpoint (rank 0 of a world
-// partitioned into the given shard count) and the reference model, failing
-// on the first disagreement, then drains both and compares the tail.
-func runMatchProgram(t *testing.T, prog []byte, shards int) {
+// runMatchProgram interprets prog against an endpoint (rank 0) and the
+// reference model, failing on the first disagreement, then drains both and
+// compares the tail.
+func runMatchProgram(t *testing.T, prog []byte) {
 	t.Helper()
-	l := AttachNet(sim.NewWorld(mqRanks), shardParams(shards)).Layer("t")
+	l := AttachNet(sim.NewWorld(mqRanks), testParams()).Layer("t")
 	ep := l.Endpoint(0)
 	ref := &refQueue{}
 	var nextID uint64
@@ -308,22 +308,19 @@ func FuzzMatchQueue(f *testing.F) {
 		f.Add(p)
 	}
 	f.Fuzz(func(t *testing.T, prog []byte) {
-		runMatchProgram(t, prog, 1)
-		runMatchProgram(t, prog, 2)
+		runMatchProgram(t, prog)
 	})
 }
 
 // TestMatchQueueAgainstReference is the seeded table half: longer random
-// programs than the fuzz corpus carries, at one and two delivery shards.
+// programs than the fuzz corpus carries.
 func TestMatchQueueAgainstReference(t *testing.T) {
 	for _, seed := range []int64{3, 17, 2014} {
-		for _, shards := range []int{1, 2} {
-			t.Run(fmt.Sprintf("seed=%d/shards=%d", seed, shards), func(t *testing.T) {
-				prog := make([]byte, 20000)
-				rand.New(rand.NewSource(seed)).Read(prog)
-				runMatchProgram(t, prog, shards)
-			})
-		}
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			prog := make([]byte, 20000)
+			rand.New(rand.NewSource(seed)).Read(prog)
+			runMatchProgram(t, prog)
+		})
 	}
 }
 
@@ -331,7 +328,7 @@ func TestMatchQueueAgainstReference(t *testing.T) {
 // list must never reach the free list — its links would be handed to the
 // next NewMessage caller and silently corrupt the queue.
 func TestReleaseWhileQueuedPanics(t *testing.T) {
-	l := AttachNet(sim.NewWorld(2), shardParams(1)).Layer("t")
+	l := AttachNet(sim.NewWorld(2), testParams()).Layer("t")
 	ep := l.Endpoint(1)
 	for i := uint64(0); i < 3; i++ {
 		m := NewMessage()
@@ -363,7 +360,7 @@ func TestReleaseWhileQueuedPanics(t *testing.T) {
 // struct — here the very same one, as the pool would hand back — joins a
 // queue cleanly wherever it lands.
 func TestRecycledMessageReenqueues(t *testing.T) {
-	l := AttachNet(sim.NewWorld(2), shardParams(1)).Layer("t")
+	l := AttachNet(sim.NewWorld(2), testParams()).Layer("t")
 	ep := l.Endpoint(1)
 	any := matchAll(nil)
 	inject := func(m *Message, id uint64) {
@@ -404,7 +401,7 @@ func TestRecycledMessageReenqueues(t *testing.T) {
 // world-wide); the class lists need nothing.
 func TestFirstArrivalAllocIndependentOfWorldSize(t *testing.T) {
 	const np, sample = 4096, 64
-	l := AttachNet(sim.NewWorld(np), shardParams(1)).Layer("t")
+	l := AttachNet(sim.NewWorld(np), testParams()).Layer("t")
 	msgs := make([]*Message, sample)
 	for i := range msgs {
 		msgs[i] = &Message{Src: np - 1, Dst: i * (np / sample), Class: 3}

@@ -48,7 +48,7 @@ type Message struct {
 	argStore [inlineArgs]uint64
 
 	// Class-list links (endpoint.go): owned by the destination endpoint,
-	// under its shard mutex, while queued is set; nil otherwise.
+	// under its mutex, while queued is set; nil otherwise.
 	qprev, qnext *Message
 }
 
@@ -192,10 +192,7 @@ func (n *Net) World() *sim.World { return n.world }
 
 // Layer returns the named layer, creating endpoints for every image on
 // first use. Each communication library (mpi, gasnet, ...) owns one layer so
-// their traffic never mixes. Endpoints are partitioned into delivery shards
-// (shard.go): contiguous rank blocks, one queue mutex and one inject ring
-// each, with the shard count derived from GOMAXPROCS unless
-// Params.DeliveryShards overrides it.
+// their traffic never mixes.
 func (n *Net) Layer(name string) *Layer {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -204,12 +201,8 @@ func (n *Net) Layer(name string) *Layer {
 	}
 	np := n.world.N()
 	l := &Layer{net: n, name: name, eps: make([]*Endpoint, np)}
-	l.shards = make([]*shard, deliveryShards(n.params, np))
-	for i := range l.shards {
-		l.shards[i] = &shard{}
-	}
 	for i := range l.eps {
-		l.eps[i] = newEndpoint(l, i, l.shards[i*len(l.shards)/np])
+		l.eps[i] = newEndpoint(l, i)
 	}
 	n.layers[name] = l
 	return l
@@ -240,13 +233,11 @@ func (n *Net) ClaimNIC(dst int, earliest, occ int64) int64 {
 	return n.nics[dst].claim(earliest, occ)
 }
 
-// Layer is one library's view of the interconnect: an endpoint per image,
-// partitioned into delivery shards.
+// Layer is one library's view of the interconnect: an endpoint per image.
 type Layer struct {
-	net    *Net
-	name   string
-	eps    []*Endpoint
-	shards []*shard
+	net  *Net
+	name string
+	eps  []*Endpoint
 }
 
 // Endpoint returns image rank's endpoint in this layer.
@@ -255,9 +246,17 @@ func (l *Layer) Endpoint(rank int) *Endpoint { return l.eps[rank] }
 // Net returns the owning interconnect.
 func (l *Layer) Net() *Net { return l.net }
 
-// Shards returns the layer's delivery shard count (host tuning; never part
-// of the virtual-time model).
-func (l *Layer) Shards() int { return len(l.shards) }
+// Delivery is one unit of fabric injection: the message plus, when the
+// fault injector duplicated it, the sibling copy that must become visible
+// in the same atomic step. At-most-once dedup (Endpoint.sweepDupLocked)
+// relies on both copies entering the match queues under one lock hold: with
+// separate injections the receiver can match and absorb Msg in the window
+// between them, the dedup sweep then finds no sibling, and Dup is later
+// delivered as a real second copy.
+type Delivery struct {
+	Msg *Message
+	Dup *Message // nil unless the fault injector duplicated Msg
+}
 
 // Inject makes each delivery visible at its destination endpoint. It is the
 // single injection seam of the fabric — Send, and through it the fault
@@ -266,56 +265,29 @@ func (l *Layer) Shards() int { return len(l.shards) }
 //   - Ownership of Msg (and Dup) transfers to the fabric at the call; the
 //     receiver may match, absorb and recycle them concurrently, so the
 //     caller must not touch either message afterwards.
-//   - Per-(src,dst) delivery order is program order (non-overtaking): a
-//     delivery rides the cross-shard inject ring only when the shards
-//     differ, and every locked enqueue drains the ring first, so a stream
-//     switching between the two paths — or overflowing the ring — cannot
-//     pass its own parked messages; both paths are FIFO.
+//   - Per-(src,dst) delivery order is program order (non-overtaking): each
+//     delivery is enqueued under the destination endpoint's mutex before
+//     Inject returns, so a sender's later deliveries queue behind it.
 //   - Msg and its injector-made duplicate become visible atomically, under
-//     one shard-mutex hold, preserving the at-most-once dedup sweep; see
+//     one hold of that mutex, preserving the at-most-once dedup sweep; see
 //     Delivery.
-//   - Arrival stamps are issued per endpoint at visibility, so matching
-//     semantics — and with them the virtual clocks — are identical at every
-//     shard count.
+//   - Arrival stamps are issued by enqueueLocked under the same mutex that
+//     owns the queue, so stamp order is queue order.
 //   - Fault policy (drop/retry/backoff/blackhole verdicts) runs in Send
-//     before injection; Inject itself never fails and never blocks beyond
-//     the ring/mutex handoff.
+//     before injection; Inject itself never fails and blocks only on the
+//     destination's mutex.
 func (l *Layer) Inject(batch ...Delivery) {
 	for _, d := range batch {
 		if d.Msg.Src < 0 || d.Msg.Src >= len(l.eps) {
 			panic(fmt.Sprintf("fabric: inject from invalid rank %d (world size %d)", d.Msg.Src, len(l.eps)))
 		}
 		dst := l.eps[d.Msg.Dst]
-		s := dst.sh
-		// The lock-free ring is for the common cross-shard case with an
-		// active (non-parked) receiver: it will drain the ring at its next
-		// queue read. With a parked waiter the producer takes the locked
-		// path instead — enqueueLocked issues the arrival stamp, bumps the
-		// activity counter exactly once per message (the same observable
-		// sequence the unsharded fabric produced) and wakes only waiters
-		// whose domain covers the arrival. See waitLocked for why this
-		// handshake cannot miss a wakeup.
-		if l.eps[d.Msg.Src].sh != s && dst.waiters.Load() == 0 {
-			if s.ring.push(injectEntry{ep: dst, m: d.Msg, dup: d.Dup}) {
-				if dst.waiters.Load() > 0 {
-					// A waiter registered while we pushed; its pre-park
-					// drain may already have run, so drain on its behalf.
-					// The shard mutex serializes with the park: the drain's
-					// enqueue does the domain-filtered wake.
-					s.mu.Lock()
-					s.drainLocked()
-					s.mu.Unlock()
-				}
-				continue
-			}
-		}
-		s.mu.Lock()
-		s.drainLocked()
+		dst.mu.Lock()
 		wake := dst.enqueueLocked(d.Msg)
 		if d.Dup != nil && dst.enqueueLocked(d.Dup) {
 			wake = true
 		}
-		s.mu.Unlock()
+		dst.mu.Unlock()
 		if wake {
 			dst.cond.Broadcast()
 		}

@@ -96,13 +96,6 @@ type Params struct {
 	FlopNS float64 // sustained ns per double-precision flop
 	MemNS  float64 // ns per byte of local memory traffic
 
-	// DeliveryShards overrides the number of endpoint-delivery shards per
-	// fabric layer (shard.go); 0 derives the count from GOMAXPROCS. Host
-	// tuning only — the shard count partitions locks and inject rings and
-	// never enters any virtual-time computation, so clocks are bit-exact at
-	// every setting.
-	DeliveryShards int
-
 	MPI    MPICosts
 	GASNet GASNetCosts
 }

@@ -14,10 +14,9 @@ import (
 // handler whose contract forbids retention.
 //
 // These free lists are sync.Pools, which the Go runtime already shards
-// per-P, so they scale with GOMAXPROCS without help; the delivery shards
-// (shard.go) additionally keep their ring storage and drain scratch as
-// fixed per-shard blocks, so the cross-shard handoff path allocates
-// nothing at steady state.
+// per-P, so they scale with GOMAXPROCS without help; injection itself only
+// links the message into the destination's class list, so the delivery
+// path allocates nothing at steady state.
 
 // inlineArgs is the inline Args capacity of a pooled Message. The largest
 // wire header in the tree is rtgasnet's fragmented-AM header (5 slots plus

@@ -9,15 +9,14 @@ import (
 // virtComps maps each wall site to the virtual-time critpath components
 // that "explain" it: host time spent there that the virtual model already
 // blames on the same mechanism is expected; the *excess* is simulator
-// overhead and sharding opportunity. The sets are disjoint so the two
-// share columns are comparable row by row.
+// overhead. The sets are disjoint so the two share columns are comparable
+// row by row.
 var virtComps = map[Site][]string{
 	SiteFabricInject: {"o_overhead", "L_latency", "G_bandwidth", "g_nic_gap"},
 	SiteFabricAbsorb: {"match"},
 	SiteMPIFlush:     {"flush_scan", "flush_wait"},
 	SiteGASNetAM:     {"srq_stall"},
 	SiteSanitizer:    {}, // pure simulator overhead: no virtual counterpart by design
-	SiteFabricDrain:  {}, // sharded-delivery handoff: simulator overhead only
 	SiteApp:          {"compute", "event_wait"},
 }
 

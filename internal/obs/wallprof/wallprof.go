@@ -51,8 +51,8 @@ type Site uint8
 // Sites.
 const (
 	// SiteFabricInject covers fabric Layer.Send: message staging, fault
-	// verdicts, NIC claims, the Inject ring push or direct enqueue (the
-	// sender-side hot path).
+	// verdicts, NIC claims and the enqueue under the destination endpoint's
+	// mutex (the sender-side hot path).
 	SiteFabricInject Site = iota
 	// SiteFabricAbsorb covers fabric Layer.absorb: match bookkeeping,
 	// rendezvous completion, edge recording (the receiver-side hot path).
@@ -65,11 +65,6 @@ const (
 	// SiteSanitizer covers sanitizer shadow-cell access checks (the
 	// dominant sanitizer cost; clock merges ride the same lock).
 	SiteSanitizer
-	// SiteFabricDrain covers batched inject-ring drains: host time a shard
-	// owner spends moving cross-shard deliveries from its inject ring into
-	// the match queues. Pure simulator overhead of the sharded delivery
-	// engine — it has no virtual counterpart by design.
-	SiteFabricDrain
 	// SiteApp is the residual: host time not inside any measured site
 	// (application compute, scheduler waits, runtime bookkeeping). It is
 	// never measured directly — the report derives it by subtraction.
@@ -79,7 +74,7 @@ const (
 
 var siteNames = [...]string{
 	"fabric/inject", "fabric/absorb", "mpi/flush", "gasnet/am",
-	"sanitizer", "fabric/drain", "app/other",
+	"sanitizer", "app/other",
 }
 
 func (s Site) String() string {
