@@ -169,7 +169,7 @@ func (im *Image) CopyAsync(dst *Coarray, dstImage, dstOff int, src *Coarray, src
 // operation issued after the Cofence can be reordered before it.
 func (im *Image) Cofence() error {
 	defer im.tr.Span(trace.Other)()
-	err := im.sub.LocalFence()
+	err := im.sub.LocalFenceScoped(true, true)
 	im.san.FenceLocal()
 	return err
 }

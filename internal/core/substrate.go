@@ -79,10 +79,6 @@ type EventBackend interface {
 // Caps describes substrate capabilities that change how the runtime maps
 // CAF operations (paper §3.3).
 type Caps struct {
-	// NativeCollectives: the substrate provides tuned collectives (MPI).
-	// When false the runtime hand-crafts them from puts and AMs, as the
-	// original CAF 2.0 runtime does over GASNet.
-	NativeCollectives bool
 	// PutWithRemoteEventViaAM: the substrate cannot notify a target on put
 	// arrival, so a put that must post a destination event ships its data
 	// inside an active message instead (MPI-3's missing put-with-
@@ -130,8 +126,9 @@ type Substrate interface {
 	// data is valid (blocking coarray read).
 	Get(s Segment, target, off int, into []byte) error
 	// PutDeferred/GetDeferred are implicitly synchronized operations: they
-	// return immediately and complete at the next LocalFence (cofence) or
-	// ReleaseFence. (§3.5: the runtime keeps arrays of request handles.)
+	// return immediately and complete at the next LocalFenceScoped
+	// (cofence) or ReleaseFence. (§3.5: the runtime keeps arrays of
+	// request handles.)
 	PutDeferred(s Segment, target, off int, data []byte) error
 	GetDeferred(s Segment, target, off int, into []byte) error
 	// PutAsyncLocal starts a put whose Completion signals *local*
@@ -154,11 +151,10 @@ type Substrate interface {
 	// progress is then abandoned.
 	PollUntil(cond func() bool) error
 
-	// LocalFence completes all deferred operations locally (cofence).
-	LocalFence() error
-	// LocalFenceScoped completes only the deferred puts and/or gets
-	// (cofence's optional argument, §3.5). Substrates tracking them
-	// together may treat any true flag as a full fence.
+	// LocalFenceScoped completes the deferred puts and/or gets locally
+	// (cofence and its optional argument, §3.5; both flags set is the
+	// full cofence). Substrates tracking them together may treat any true
+	// flag as a full fence.
 	LocalFenceScoped(puts, gets bool) error
 	// ReleaseFence completes all previously issued operations at their
 	// targets (§3.4: event_notify's release barrier — MPI: WAITALL +
@@ -171,8 +167,9 @@ type Substrate interface {
 	AllreduceAsync(t TeamRef, in, out []byte, k elem.Kind, op elem.Op) (Completion, error)
 	BcastAsync(t TeamRef, buf []byte, root int) (Completion, error)
 
-	// Native collectives; return ErrUnsupported when Caps().
-	// NativeCollectives is false.
+	// Native collectives; substrates without them return ErrUnsupported
+	// and the runtime hand-crafts them from puts and AMs, as the original
+	// CAF 2.0 runtime does over GASNet.
 	Barrier(t TeamRef) error
 	Bcast(t TeamRef, buf []byte, root int) error
 	Reduce(t TeamRef, in, out []byte, k elem.Kind, op elem.Op, root int) error

@@ -1,127 +1,66 @@
 package fabric
 
-import (
-	"math/bits"
-	"sort"
-)
-
-// DensePeerThreshold is the world size at or below which PeerSet uses a
-// single-word bitset. It mirrors obs.DenseCommThreshold so the telemetry
-// and synchronization layers flip representations at the same scale.
-const DensePeerThreshold = 64
+import "sort"
 
 // PeerSet is a set of peer ranks in [0, n) whose memory stays proportional
-// to activity, not world size: one uint64 bitset for worlds of up to
-// DensePeerThreshold ranks, a sparse map above. It backs the scalable-sync
-// mode's per-epoch dirty-peer tracking (which peers did this epoch touch)
-// and the on-demand connection table (which peers have established state).
+// to activity, not world size: a map allocated on the first Add. It backs
+// the per-epoch dirty-peer tracking (which peers did this epoch touch), the
+// on-demand connection tables (which peers have established state) and the
+// per-target lock set of an MPI window.
 //
 // The zero value is an empty set over a zero-rank world; call Init before
 // use. PeerSet is not safe for concurrent use — each image owns its sets.
 type PeerSet struct {
-	n     int
-	dense uint64
-	m     map[int32]struct{} // nil in dense mode
-	count int
+	n int
+	m map[int32]struct{} // nil until the first Add
 }
 
-// Init resets the set to empty over a world of n ranks and picks the
-// dense or sparse representation.
+// Init resets the set to empty over a world of n ranks.
 func (s *PeerSet) Init(n int) {
 	s.n = n
-	s.dense = 0
-	s.count = 0
-	if n > DensePeerThreshold {
-		s.m = make(map[int32]struct{})
-	} else {
-		s.m = nil
-	}
+	s.m = nil
 }
 
-// Dense reports whether the set uses the bitset representation.
-func (s *PeerSet) Dense() bool { return s.m == nil }
-
 // Len returns the number of members.
-func (s *PeerSet) Len() int { return s.count }
+func (s *PeerSet) Len() int { return len(s.m) }
 
 // Add inserts rank r, reporting whether it was newly added.
 func (s *PeerSet) Add(r int) bool {
 	if r < 0 || r >= s.n {
 		return false
 	}
-	if s.m != nil {
-		if _, ok := s.m[int32(r)]; ok {
-			return false
-		}
-		s.m[int32(r)] = struct{}{}
-		s.count++
-		return true
-	}
-	bit := uint64(1) << uint(r)
-	if s.dense&bit != 0 {
+	if _, ok := s.m[int32(r)]; ok {
 		return false
 	}
-	s.dense |= bit
-	s.count++
+	if s.m == nil {
+		s.m = make(map[int32]struct{})
+	}
+	s.m[int32(r)] = struct{}{}
 	return true
 }
 
 // Has reports whether rank r is a member.
 func (s *PeerSet) Has(r int) bool {
-	if r < 0 || r >= s.n {
-		return false
-	}
-	if s.m != nil {
-		_, ok := s.m[int32(r)]
-		return ok
-	}
-	return s.dense&(uint64(1)<<uint(r)) != 0
+	_, ok := s.m[int32(r)]
+	return ok
 }
 
 // Remove deletes rank r if present.
-func (s *PeerSet) Remove(r int) {
-	if r < 0 || r >= s.n {
-		return
-	}
-	if s.m != nil {
-		if _, ok := s.m[int32(r)]; ok {
-			delete(s.m, int32(r))
-			s.count--
-		}
-		return
-	}
-	bit := uint64(1) << uint(r)
-	if s.dense&bit != 0 {
-		s.dense &^= bit
-		s.count--
-	}
-}
+func (s *PeerSet) Remove(r int) { delete(s.m, int32(r)) }
 
-// Clear empties the set, keeping the representation (and the map's
-// capacity, so steady-state epochs stop allocating).
-func (s *PeerSet) Clear() {
-	s.dense = 0
-	s.count = 0
-	if s.m != nil {
-		clear(s.m)
-	}
-}
+// Clear empties the set, keeping the map's capacity so steady-state epochs
+// stop allocating.
+func (s *PeerSet) Clear() { clear(s.m) }
 
 // AppendSorted appends the members in ascending rank order to dst and
-// returns the extended slice. Sorted iteration is what keeps sparse flush
+// returns the extended slice. Sorted iteration is what keeps flush walks
 // deterministic: the virtual-clock charges of a flush walk depend on visit
 // order, so map iteration order must never leak into the model.
 func (s *PeerSet) AppendSorted(dst []int) []int {
-	if s.m != nil {
-		base := len(dst)
-		for r := range s.m {
-			dst = append(dst, int(r))
-		}
-		sort.Ints(dst[base:])
-		return dst
+	base := len(dst)
+	for r := range s.m {
+		dst = append(dst, int(r))
 	}
-	for w := s.dense; w != 0; w &= w - 1 {
-		dst = append(dst, bits.TrailingZeros64(w))
-	}
+	sort.Ints(dst[base:])
 	return dst
 }

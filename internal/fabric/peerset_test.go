@@ -6,19 +6,6 @@ import (
 	"testing"
 )
 
-func TestPeerSetRepresentationCrossover(t *testing.T) {
-	var d PeerSet
-	d.Init(DensePeerThreshold)
-	if !d.Dense() {
-		t.Fatalf("n=%d: want dense bitset", DensePeerThreshold)
-	}
-	var s PeerSet
-	s.Init(DensePeerThreshold + 1)
-	if s.Dense() {
-		t.Fatalf("n=%d: want sparse map", DensePeerThreshold+1)
-	}
-}
-
 func TestPeerSetBasics(t *testing.T) {
 	for _, n := range []int{8, 64, 65, 4096} {
 		var s PeerSet
@@ -61,7 +48,7 @@ func TestPeerSetBasics(t *testing.T) {
 
 func TestPeerSetAppendSortedAscending(t *testing.T) {
 	// Sorted iteration is load-bearing for clock determinism: insert in a
-	// scrambled order and demand ascending output in both representations.
+	// scrambled order and demand ascending output.
 	for _, n := range []int{64, 4096} {
 		var s PeerSet
 		s.Init(n)
@@ -89,23 +76,16 @@ func TestPeerSetAppendSortedAscending(t *testing.T) {
 	}
 }
 
-// TestPeerSetBoundary63_64_65 pins the dense-bitset↔sparse-map switch at
-// world sizes 63, 64 and 65: n=64 is the last dense world and its top rank
-// (63) lives in the bitset's most significant bit — the off-by-one a shift
-// bug would hit — while n=65 is the first sparse one. Insert, duplicate
-// insert, remove, clear, refill and AppendSorted must behave identically
-// on both sides of the representation switch.
+// TestPeerSetBoundary63_64_65 drives insert, duplicate insert, remove,
+// clear, refill and AppendSorted at world sizes around a word boundary,
+// with the top valid rank always among the members.
 func TestPeerSetBoundary63_64_65(t *testing.T) {
 	for _, n := range []int{63, 64, 65} {
-		wantDense := n <= DensePeerThreshold
 		var s PeerSet
 		s.Init(n)
-		if s.Dense() != wantDense {
-			t.Fatalf("n=%d: Dense()=%v, want %v", n, s.Dense(), wantDense)
-		}
 
 		// Boundary-sensitive members: rank 0, the top valid rank, a middle
-		// one. Duplicates must report not-added in both representations.
+		// one. Duplicates must report not-added.
 		hi := n - 1
 		for _, r := range []int{0, hi, 17} {
 			if !s.Add(r) {
@@ -122,17 +102,16 @@ func TestPeerSetBoundary63_64_65(t *testing.T) {
 			t.Fatalf("n=%d: AppendSorted=%v, want %v", n, got, want)
 		}
 
-		// Remove the top rank (bit 63 in the n=64 world).
+		// Remove the top rank.
 		s.Remove(hi)
 		if s.Has(hi) || s.Len() != 2 {
 			t.Fatalf("n=%d: Remove(%d) left Has=%v Len=%d", n, hi, s.Has(hi), s.Len())
 		}
 
-		// Clear keeps the representation; refill must not resurrect stale
-		// members or miscount.
+		// Refill after Clear must not resurrect stale members or miscount.
 		s.Clear()
-		if s.Len() != 0 || s.Dense() != wantDense {
-			t.Fatalf("n=%d: after Clear Len=%d Dense=%v, want 0/%v", n, s.Len(), s.Dense(), wantDense)
+		if s.Len() != 0 {
+			t.Fatalf("n=%d: after Clear Len=%d, want 0", n, s.Len())
 		}
 		if out := s.AppendSorted(nil); len(out) != 0 {
 			t.Fatalf("n=%d: AppendSorted after Clear = %v", n, out)
@@ -143,9 +122,8 @@ func TestPeerSetBoundary63_64_65(t *testing.T) {
 	}
 }
 
-// TestPeerSetFullWorldSweep crosses the boundary with every rank present:
-// the sorted walk over a full set must be exactly [0..n) on both sides of
-// the switch, regardless of insertion order.
+// TestPeerSetFullWorldSweep fills every rank: the sorted walk over a full
+// set must be exactly [0..n), regardless of insertion order.
 func TestPeerSetFullWorldSweep(t *testing.T) {
 	for _, n := range []int{63, 64, 65} {
 		var s PeerSet

@@ -256,6 +256,10 @@ func TestPlanJSON(t *testing.T) {
 		`{"rules": [{"kind": "drop", "prob": 1, "layer": "tcp"}]}`,
 		`{"stalls": [{"image": 0, "at_ns": 1, "dur_ns": 0}]}`,
 		`{"bogus_field": 1}`,
+		`{"rules": [{"kind": "drop", "prob": 1, "bogus_field": 1}]}`,
+		`{"seed": 1} {"seed": 2}`,
+		`{"seed": 1} garbage`,
+		`{"seed": 1} ]`,
 	}
 	for _, s := range bad {
 		if _, err := Parse([]byte(s)); !errors.Is(err, ErrInvalid) {

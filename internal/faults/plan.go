@@ -15,8 +15,10 @@
 package faults
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -51,11 +53,14 @@ type Rule struct {
 }
 
 // UnmarshalJSON decodes a rule with wildcard defaults (Src/Dst -1) so a
-// plan file may omit them; a literal 0 still means image 0.
+// plan file may omit them; a literal 0 still means image 0. Unknown fields
+// are rejected, as they are at the plan level.
 func (r *Rule) UnmarshalJSON(b []byte) error {
 	type alias Rule
 	a := alias{Src: -1, Dst: -1}
-	if err := json.Unmarshal(b, &a); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&a); err != nil {
 		return err
 	}
 	*r = Rule(a)
@@ -198,12 +203,27 @@ func (p *Plan) Validate(n int) error {
 }
 
 // Parse decodes a JSON plan and validates its world-independent invariants.
+// The input must hold exactly one JSON object; anything after it but
+// whitespace is rejected. Empty lists decode as absent, so re-encoding a
+// parsed plan yields its canonical form.
 func Parse(b []byte) (*Plan, error) {
 	var p Plan
-	dec := json.NewDecoder(strings.NewReader(string(b)))
+	dec := json.NewDecoder(bytes.NewReader(b))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&p); err != nil {
 		return nil, fmt.Errorf("%w: parsing fault plan: %v", ErrInvalid, err)
+	}
+	if err := dec.Decode(&struct{}{}); err != io.EOF {
+		return nil, fmt.Errorf("%w: parsing fault plan: trailing data after the plan object", ErrInvalid)
+	}
+	if len(p.Rules) == 0 {
+		p.Rules = nil
+	}
+	if len(p.Crashes) == 0 {
+		p.Crashes = nil
+	}
+	if len(p.Stalls) == 0 {
+		p.Stalls = nil
 	}
 	if err := p.Validate(0); err != nil {
 		return nil, err

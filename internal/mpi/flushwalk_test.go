@@ -155,7 +155,8 @@ func newFlushRig(n int, sparse, dynamic bool) *flushRig {
 		dyn := &DynWin{}
 		rig.flushWindow, rig.epoch = dyn, &dyn.epoch
 	} else {
-		rig.win = &Win{locked: make([]bool, n)}
+		rig.win = &Win{}
+		rig.win.locked.Init(n)
 		rig.flushWindow, rig.epoch = rig.win, &rig.win.epoch
 	}
 	rig.epInit(env, env.CommWorld())

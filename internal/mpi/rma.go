@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"cafmpi/internal/fabric"
 	"cafmpi/internal/obs"
 )
 
@@ -29,8 +30,7 @@ type Win struct {
 	size int
 
 	lockedAll bool
-	locked    []bool
-	nlocked   int // number of set entries in locked
+	locked    fabric.PeerSet // targets of open single-target epochs
 
 	shared bool // created by WinAllocateShared
 	freed  bool
@@ -59,11 +59,8 @@ func WinAllocate(c *Comm, size int) (*Win, error) {
 	sh.bases[c.myRank] = make([]byte, size)
 	ws.winsMu.Unlock()
 
-	w := &Win{
-		sh:     sh,
-		size:   size,
-		locked: make([]bool, c.Size()),
-	}
+	w := &Win{sh: sh, size: size}
+	w.locked.Init(c.Size())
 	w.epInit(c.env, c)
 	c.env.p.Advance(c.env.costs().WinSetupNS * int64(c.Size()))
 	atomic.AddInt64(&c.env.footprint, int64(size))
@@ -129,11 +126,10 @@ func (w *Win) Lock(target int) error {
 	if err := w.comm.checkRank(target, "lock"); err != nil {
 		return err
 	}
-	if w.locked[target] || w.lockedAll {
+	if w.locked.Has(target) || w.lockedAll {
 		return fmt.Errorf("mpi: Lock(%d) inside an existing epoch", target)
 	}
-	w.locked[target] = true
-	w.nlocked++
+	w.locked.Add(target)
 	t0 := w.env.p.Now()
 	w.env.p.Advance(w.env.net.Params().LatencyNS) // lock request one-way; grant piggybacked
 	if sh := w.env.sh; sh != nil {
@@ -148,14 +144,13 @@ func (w *Win) Unlock(target int) error {
 	if err := w.comm.checkRank(target, "unlock"); err != nil {
 		return err
 	}
-	if !w.locked[target] {
+	if !w.locked.Has(target) {
 		return fmt.Errorf("mpi: Unlock(%d) without Lock", target)
 	}
 	if err := w.Flush(target); err != nil {
 		return err
 	}
-	w.locked[target] = false
-	w.nlocked--
+	w.locked.Remove(target)
 	return nil
 }
 
@@ -166,7 +161,7 @@ func (w *Win) checkAccess(target int, what string) error {
 	if err := w.comm.checkRank(target, what); err != nil {
 		return err
 	}
-	if !w.lockedAll && !w.locked[target] {
+	if !w.lockedAll && !w.locked.Has(target) {
 		// MPI-3 RMA usage violation: surfaced to the sanitizer (so a
 		// -sanitize run reports it alongside data races) and still returned
 		// as the hard error it always was.
@@ -420,7 +415,7 @@ func (w *Win) FlushAll() error {
 	if w.freed {
 		return fmt.Errorf("mpi: FlushAll on freed window")
 	}
-	if !w.lockedAll && w.nlocked < len(w.locked) {
+	if !w.lockedAll && w.locked.Len() < w.comm.Size() {
 		return fmt.Errorf("mpi: FlushAll outside a lock-all epoch")
 	}
 	w.flushAllEpoch()

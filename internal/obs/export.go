@@ -87,11 +87,16 @@ func (w *World) Snapshot() *Snapshot {
 		if mem := sh.MemBytes(); mem > s.ObsBytesPerImage {
 			s.ObsBytesPerImage = mem
 		}
+		entries := sh.CommEntries()
 		if dense {
-			s.CommCount[i] = append([]int64(nil), sh.matCount...)
-			s.CommBytes[i] = append([]int64(nil), sh.matBytes...)
+			s.CommCount[i] = make([]int64, w.n)
+			s.CommBytes[i] = make([]int64, w.n)
+			for _, e := range entries {
+				s.CommCount[i][e.Dst] = e.Count
+				s.CommBytes[i][e.Dst] = e.Bytes
+			}
 		}
-		if row := commRow(i, sh); row.Peers > 0 {
+		if row := commRow(i, entries); row.Peers > 0 {
 			s.Comm = append(s.Comm, row)
 		}
 		for _, c := range Counters() {
@@ -181,11 +186,10 @@ func (s *Snapshot) Text() string {
 	return b.String()
 }
 
-// commRow builds the bounded summary of one shard's comm row: totals over
-// every peer, plus the CommTopK heaviest destinations by bytes (ties broken
-// by rank for determinism).
-func commRow(src int, sh *Shard) CommRow {
-	entries := sh.CommEntries()
+// commRow builds the bounded summary of one shard's comm row from its
+// entries: totals over every peer, plus the CommTopK heaviest destinations
+// by bytes (ties broken by rank for determinism). It reorders entries.
+func commRow(src int, entries []PeerStat) CommRow {
 	row := CommRow{Src: src, Peers: len(entries)}
 	for _, e := range entries {
 		row.Count += e.Count

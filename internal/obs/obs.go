@@ -22,11 +22,10 @@
 //
 // Scale discipline (ROADMAP item 1): nothing in a shard may be O(P). Rings
 // are lazily grown up to their cap, so an idle image costs a struct, not a
-// window; communication rows are dense arrays only up to DenseCommThreshold
-// images and sparse per-peer maps beyond, so per-image memory is O(active
-// peers). The subsystem meters itself — Shard.MemBytes feeds the
-// obs_bytes_per_image gauge — so the scaling probes can prove the bound
-// instead of asserting it.
+// window; communication rows are sparse per-peer maps at every world size,
+// so per-image memory is O(active peers). The subsystem meters itself —
+// Shard.MemBytes feeds the obs_bytes_per_image gauge — so the scaling
+// probes can prove the bound instead of asserting it.
 package obs
 
 import (
@@ -322,10 +321,10 @@ const DefaultRingCap = 4096
 // explicitly enlarged event ring.
 const DefaultEdgeRingCap = 16384
 
-// DenseCommThreshold is the world size at or below which comm rows are
-// plain dense arrays (one int64 pair per destination). Above it a shard
-// tracks peers sparsely, so an image talking to k peers costs O(k) — not
-// O(P) — and the full N×N matrix never materializes anywhere.
+// DenseCommThreshold is the world size at or below which exports render
+// the full N×N communication matrix. It is a rendering rule only: shards
+// always store comm rows sparsely, so an image talking to k peers costs
+// O(k) — not O(P) — and above it the matrix never materializes anywhere.
 const DenseCommThreshold = 64
 
 // minRingAlloc is the initial backing-slice length of a lazily grown ring.
@@ -347,9 +346,8 @@ type World struct {
 // constructing the substrate), so layers can cache their shard once.
 //
 // Shards start near-empty: rings grow geometrically up to their cap as
-// events arrive, and comm rows above DenseCommThreshold images are sparse
-// maps, so enabling observability on a large, mostly idle world costs
-// per-image kilobytes, not megabytes.
+// events arrive, and comm rows are sparse maps, so enabling observability
+// on a large, mostly idle world costs per-image kilobytes, not megabytes.
 func Enable(w *sim.World, ringCap int) *World {
 	if ringCap <= 0 {
 		ringCap = DefaultRingCap
@@ -360,14 +358,8 @@ func Enable(w *sim.World, ringCap int) *World {
 	}
 	return w.Shared(worldKey, func() any {
 		ow := &World{n: w.N(), ringCap: ringCap, shards: make([]*Shard, w.N())}
-		dense := w.N() <= DenseCommThreshold
 		for i := range ow.shards {
-			sh := &Shard{ringCap: ringCap, edgeCap: edgeCap}
-			if dense {
-				sh.matCount = make([]int64, w.N())
-				sh.matBytes = make([]int64, w.N())
-			}
-			ow.shards[i] = sh
+			ow.shards[i] = &Shard{ringCap: ringCap, edgeCap: edgeCap}
 		}
 		return ow
 	}).(*World)
@@ -408,8 +400,8 @@ func (w *World) Shard(i int) *Shard {
 	return w.shards[i]
 }
 
-// commCell is one sparse comm-row entry: traffic from this shard's image to
-// a single destination.
+// commCell is one comm-row entry: traffic from this shard's image to a
+// single destination.
 type commCell struct {
 	count int64
 	bytes int64
@@ -434,17 +426,15 @@ type PeerStat struct {
 // cap" holds, so the drop/retention arithmetic below is oblivious to whether
 // the ring is still growing.
 type Shard struct {
-	ring      []Event
-	ringCap   int
-	total     uint64 // events ever recorded (ring wraps at ringCap)
-	edges     []Edge
-	edgeCap   int
-	edgeTot   uint64 // edges ever recorded (ring wraps at edgeCap)
-	counters  [numCounters]int64
-	matCount  []int64            // dense: per-destination op count (N <= DenseCommThreshold)
-	matBytes  []int64            // dense: per-destination bytes
-	matSparse map[int32]commCell // sparse: allocated on first CommAdd above the threshold
-	hists     [numLayers][numOps]*hist.Hist
+	ring     []Event
+	ringCap  int
+	total    uint64 // events ever recorded (ring wraps at ringCap)
+	edges    []Edge
+	edgeCap  int
+	edgeTot  uint64 // edges ever recorded (ring wraps at edgeCap)
+	counters [numCounters]int64
+	comm     map[int32]commCell // comm row by destination; allocated on first CommAdd
+	hists    [numLayers][numOps]*hist.Hist
 }
 
 // ringPut appends v to a lazily grown ring and returns the (possibly
@@ -564,25 +554,19 @@ func (s *Shard) Max(c Counter, v int64) {
 }
 
 // CommAdd charges one operation of the given size to the dst column of this
-// image's communication-matrix row. Below DenseCommThreshold images the row
-// is a dense array; above, a sparse per-peer map allocated on first use, so
-// an image's comm state costs O(peers actually talked to).
+// image's communication-matrix row, a per-peer map allocated on first use,
+// so an image's comm state costs O(peers actually talked to).
 func (s *Shard) CommAdd(dst int, bytes int64) {
 	if s == nil {
 		return
 	}
-	if s.matCount != nil {
-		s.matCount[dst]++
-		s.matBytes[dst] += bytes
-		return
+	if s.comm == nil {
+		s.comm = make(map[int32]commCell)
 	}
-	if s.matSparse == nil {
-		s.matSparse = make(map[int32]commCell)
-	}
-	c := s.matSparse[int32(dst)]
+	c := s.comm[int32(dst)]
 	c.count++
 	c.bytes += bytes
-	s.matSparse[int32(dst)] = c
+	s.comm[int32(dst)] = c
 }
 
 // CommPeers returns the number of destinations this image has sent to.
@@ -590,36 +574,17 @@ func (s *Shard) CommPeers() int {
 	if s == nil {
 		return 0
 	}
-	if s.matCount != nil {
-		n := 0
-		for _, c := range s.matCount {
-			if c != 0 {
-				n++
-			}
-		}
-		return n
-	}
-	return len(s.matSparse)
+	return len(s.comm)
 }
 
-// CommEntries returns the image's comm row as a slice of non-zero peer
-// entries sorted by destination rank — the same view regardless of whether
-// the row is stored densely or sparsely. Call only after Run has returned.
+// CommEntries returns the image's comm row as a slice of peer entries
+// sorted by destination rank. Call only after Run has returned.
 func (s *Shard) CommEntries() []PeerStat {
 	if s == nil {
 		return nil
 	}
-	if s.matCount != nil {
-		out := make([]PeerStat, 0, 8)
-		for dst, c := range s.matCount {
-			if c != 0 || s.matBytes[dst] != 0 {
-				out = append(out, PeerStat{Dst: dst, Count: c, Bytes: s.matBytes[dst]})
-			}
-		}
-		return out
-	}
-	out := make([]PeerStat, 0, len(s.matSparse))
-	for dst, c := range s.matSparse {
+	out := make([]PeerStat, 0, len(s.comm))
+	for dst, c := range s.comm {
 		out = append(out, PeerStat{Dst: int(dst), Count: c.count, Bytes: c.bytes})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Dst < out[j].Dst })
@@ -635,13 +600,12 @@ func (s *Shard) RingCap() int {
 	return s.ringCap
 }
 
-// sparseCellBytes approximates the per-entry footprint of the sparse comm
-// map: key + value plus Go map bucket overhead (~1.5x headroom).
-const sparseCellBytes = int64(unsafe.Sizeof(int32(0))+unsafe.Sizeof(commCell{})) * 3 / 2
+// commCellBytes approximates the per-entry footprint of the comm map: key + value plus Go map bucket overhead (~1.5x headroom).
+const commCellBytes = int64(unsafe.Sizeof(int32(0))+unsafe.Sizeof(commCell{})) * 3 / 2
 
 // MemBytes returns an accounting estimate of this shard's memory footprint:
 // the struct itself, ring backing arrays at their current (lazily grown)
-// lengths, comm rows (dense arrays or sparse map entries), and allocated
+// lengths, comm-row map entries, and allocated
 // histograms. It is the source of the obs_bytes_per_image gauge; the scaling
 // probes use it to demonstrate that per-image obs memory is a function of
 // activity, not of world size.
@@ -652,8 +616,7 @@ func (s *Shard) MemBytes() int64 {
 	total := int64(unsafe.Sizeof(*s))
 	total += int64(len(s.ring)) * int64(unsafe.Sizeof(Event{}))
 	total += int64(len(s.edges)) * int64(unsafe.Sizeof(Edge{}))
-	total += int64(len(s.matCount)+len(s.matBytes)) * int64(unsafe.Sizeof(int64(0)))
-	total += int64(len(s.matSparse)) * sparseCellBytes
+	total += int64(len(s.comm)) * commCellBytes
 	for i := range s.hists {
 		for j := range s.hists[i] {
 			if s.hists[i][j] != nil {

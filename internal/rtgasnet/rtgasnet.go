@@ -437,16 +437,10 @@ func (s *S) Poll() { s.ep.Poll() }
 // world's failure latch trips.
 func (s *S) PollUntil(cond func() bool) error { return s.ep.PollUntil(cond) }
 
-// LocalFence completes implicit operations. GASNet's NBI sync covers local
-// and remote completion with O(1) counters.
-func (s *S) LocalFence() error {
-	defer s.tr.Span(trace.SubstrateFence)()
-	s.ep.SyncNBIAll()
-	return nil
-}
-
-// LocalFenceScoped: GASNet's implicit-handle machinery fences puts and gets
-// together, so any requested scope syncs everything.
+// LocalFenceScoped completes implicit operations. GASNet's NBI sync covers
+// local and remote completion with O(1) counters, and its implicit-handle
+// machinery fences puts and gets together, so any requested scope syncs
+// everything.
 func (s *S) LocalFenceScoped(puts, gets bool) error {
 	defer s.tr.Span(trace.SubstrateFence)()
 	if puts || gets {

@@ -47,8 +47,8 @@ func TestIdentityAndCaps(t *testing.T) {
 			return fmt.Errorf("name %q", s.Name())
 		}
 		c := s.Caps()
-		if c.NativeCollectives || c.PutWithRemoteEventViaAM {
-			return fmt.Errorf("caps %+v: GASNet should have neither", c)
+		if c.PutWithRemoteEventViaAM {
+			return fmt.Errorf("caps %+v: GASNet notifies on put arrival natively", c)
 		}
 		if s.Platform() == nil || s.Ep() == nil {
 			return fmt.Errorf("accessors nil")
@@ -185,7 +185,7 @@ func TestDeferredAndFences(t *testing.T) {
 		if err := s.GetDeferred(seg, peer, 0, into); err != nil {
 			return err
 		}
-		if err := s.LocalFence(); err != nil {
+		if err := s.LocalFenceScoped(true, true); err != nil {
 			return err
 		}
 		if into[0] != byte(peer+1) {

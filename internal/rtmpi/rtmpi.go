@@ -104,11 +104,9 @@ func (s *S) Platform() *fabric.Params { return s.net.Params() }
 // Proc returns the owning image.
 func (s *S) Proc() *sim.Proc { return s.p }
 
-// Caps reports MPI capabilities: native collectives, and AM-mediated puts
-// when a destination event is required (§3.3 rule 4).
-func (s *S) Caps() core.Caps {
-	return core.Caps{NativeCollectives: true, PutWithRemoteEventViaAM: true}
-}
+// Caps reports MPI capabilities: AM-mediated puts when a destination event
+// is required (§3.3 rule 4).
+func (s *S) Caps() core.Caps { return core.Caps{PutWithRemoteEventViaAM: true} }
 
 // team wraps an MPI communicator as a core.TeamRef.
 type team struct{ comm *mpi.Comm }
@@ -372,13 +370,8 @@ func (s *S) PollUntil(cond func() bool) error {
 	}
 }
 
-// LocalFence is cofence: MPI_WAITALL on the implicit request arrays (§3.5).
-func (s *S) LocalFence() error {
-	return s.LocalFenceScoped(true, true)
-}
-
-// LocalFenceScoped is the §3.5 cofence with its optional argument: wait for
-// local completion of the implicit puts, the implicit gets, or both.
+// LocalFenceScoped is the §3.5 cofence with its optional argument:
+// MPI_WAITALL on the implicit request arrays of the puts, the gets, or both.
 func (s *S) LocalFenceScoped(puts, gets bool) error {
 	defer s.tr.Span(trace.SubstrateFence)()
 	var first error
@@ -439,7 +432,7 @@ func (s *S) ReleaseFence() error {
 	}
 	freeReqs(s.amReqs)
 	s.amReqs = s.amReqs[:0]
-	if err := s.LocalFence(); err != nil {
+	if err := s.LocalFenceScoped(true, true); err != nil {
 		return err
 	}
 	if s.opt.UseRflush {

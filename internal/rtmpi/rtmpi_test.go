@@ -140,7 +140,7 @@ func TestDeferredOpsCompleteAtLocalFence(t *testing.T) {
 		if err := s.GetDeferred(seg, peer, 0, into); err != nil {
 			return err
 		}
-		if err := s.LocalFence(); err != nil {
+		if err := s.LocalFenceScoped(true, true); err != nil {
 			return err
 		}
 		if into[0] != byte(40+peer) {
@@ -159,7 +159,7 @@ func TestCapsAndIdentity(t *testing.T) {
 			return fmt.Errorf("name %q", s.Name())
 		}
 		c := s.Caps()
-		if !c.NativeCollectives || !c.PutWithRemoteEventViaAM {
+		if !c.PutWithRemoteEventViaAM {
 			return fmt.Errorf("caps %+v", c)
 		}
 		if s.Platform() == nil || s.Env() == nil {

@@ -143,7 +143,7 @@ type collKey struct {
 type collRound struct {
 	clocks []*vclock
 	// joined is the round's materialized shared base (full-world rounds
-	// above the dense threshold only), built once on first acquiring exit.
+	// only), built once on first acquiring exit.
 	joined *baseClock
 	exits  int
 	size   int
@@ -187,10 +187,9 @@ func Enable(w *sim.World) *World {
 		}
 		sw.images = make([]*Image, w.N())
 		for i := range sw.images {
-			// Dense clock at or below denseClockThreshold (historical
-			// behaviour, bit-exact); base+delta sparse clock above, so a
-			// fresh image owns O(1) clock state regardless of world size.
-			sw.images[i] = &Image{w: sw, id: i, vc: newVClock(w.N(), i), collSeq: make(map[uint64]uint64)}
+			// Base+delta clock: a fresh image owns O(1) clock state
+			// regardless of world size.
+			sw.images[i] = &Image{w: sw, id: i, vc: newVClock(i), collSeq: make(map[uint64]uint64)}
 		}
 		return sw
 	}).(*World)
@@ -299,9 +298,8 @@ type Image struct {
 
 	// vc is this image's vector clock; component j counts image j's
 	// releases this image has acquired. Touched only from the owning
-	// image's goroutine; snapshots are published under w.mu. Dense array
-	// in small worlds, shared-base + private-delta above the threshold
-	// (see vclock.go).
+	// image's goroutine; snapshots are published under w.mu. Stored as a
+	// shared base plus a private delta (see vclock.go).
 	vc *vclock
 
 	// wp is the wall-clock recorder for SiteSanitizer blame, nil when the
@@ -533,13 +531,12 @@ func (i *Image) CollExit(team uint64, round uint64, acquire bool) {
 	var joined *baseClock
 	if cr != nil {
 		if acquire {
-			if i.vc.sparseMode() && cr.size == i.w.n && len(cr.clocks) == cr.size {
-				// Full-world round in sparse mode: materialize one shared
-				// base (once per round) instead of joining P private
-				// clocks, and rebase onto it below. This is the epoch
-				// compression that keeps per-image clock memory O(1)
-				// across barriers: everyone's floor becomes one shared
-				// array.
+			if cr.size == i.w.n && len(cr.clocks) == cr.size {
+				// Full-world round: materialize one shared base (once
+				// per round) instead of joining P private clocks, and
+				// rebase onto it below. This is the epoch compression
+				// that keeps per-image clock memory O(1) across
+				// barriers: everyone's floor becomes one shared array.
 				if cr.joined == nil {
 					cr.joined = i.w.materializeLocked(cr.clocks)
 				}

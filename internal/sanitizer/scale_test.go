@@ -2,10 +2,9 @@ package sanitizer
 
 // Large-world scale tests, mirroring internal/obs/scale_test.go: per-image
 // sanitizer memory must be a function of activity, not of world size. The
-// world-rank-sized structures the sanitizer used to own — the dense
-// per-image vector clock above all — go sparse above denseClockThreshold,
-// with full-world collective rounds compressed into one shared base clock
-// (vclock.go), killing ROADMAP item 1's last at-scale O(P) structure.
+// per-image vector clock is a private delta over a shared base at every
+// world size, with full-world collective rounds compressed into one shared
+// base clock (vclock.go), so no per-image structure is sized by rank count.
 
 import (
 	"testing"
@@ -48,25 +47,25 @@ func drive(t *testing.T, n int) *World {
 	return sw
 }
 
-// TestImageMemoryIndependentOfWorldSize is the satellite's acceptance
-// check: identical activity at np=128 and np=1024 must cost identical
-// per-image bytes — no structure sized by rank count survives.
+// TestImageMemoryIndependentOfWorldSize: identical activity at np=32, 128
+// and 1024 must cost identical per-image bytes — no structure sized by rank
+// count survives, in small worlds or large ones.
 func TestImageMemoryIndependentOfWorldSize(t *testing.T) {
-	small := drive(t, 128).MemMaxBytes()
-	big := drive(t, 1024).MemMaxBytes()
-	if small == 0 || big == 0 {
-		t.Fatalf("self-metering returned zero (small=%d big=%d)", small, big)
+	small := drive(t, 32).MemMaxBytes()
+	if small == 0 {
+		t.Fatal("self-metering returned zero at np=32")
 	}
-	if big != small {
-		t.Fatalf("per-image sanitizer memory scales with world size: np=128 -> %d B, np=1024 -> %d B", small, big)
+	for _, n := range []int{128, 1024} {
+		if got := drive(t, n).MemMaxBytes(); got != small {
+			t.Fatalf("per-image sanitizer memory scales with world size: np=32 -> %d B, np=%d -> %d B", small, n, got)
+		}
 	}
 }
 
-// TestSparseClockStillDetectsRaces: the representation change must not
-// change verdicts. Above the threshold, an unsynchronized overlapping
-// write pair is a race; the same pair ordered by an event edge is not.
+// TestSparseClockStillDetectsRaces: an unsynchronized overlapping write
+// pair is a race; the same pair ordered by an event edge is not.
 func TestSparseClockStillDetectsRaces(t *testing.T) {
-	n := denseClockThreshold + 1 // smallest sparse world
+	const n = 65
 
 	racy := func() *World {
 		w := sim.NewWorld(n)
@@ -76,7 +75,7 @@ func TestSparseClockStillDetectsRaces(t *testing.T) {
 		return sw
 	}
 	if got := racy().Count(); got != 1 {
-		t.Fatalf("unsynchronized overlapping writes in sparse mode: %d finding(s), want 1", got)
+		t.Fatalf("unsynchronized overlapping writes: %d finding(s), want 1", got)
 	}
 
 	ordered := func() *World {
@@ -89,16 +88,16 @@ func TestSparseClockStillDetectsRaces(t *testing.T) {
 		return sw
 	}
 	if got := ordered().Count(); got != 0 {
-		t.Fatalf("event-ordered writes in sparse mode: %d finding(s), want 0", got)
+		t.Fatalf("event-ordered writes: %d finding(s), want 0", got)
 	}
 }
 
 // TestSparseBarrierOrdersAccesses exercises the shared-base compression
 // path end to end: a full-world barrier must order accesses on either
-// side of it (no false positive after the rebase), while leaving the
-// clocks sparse.
+// side of it (no false positive after the rebase), while leaving each
+// clock a shared base plus a small delta.
 func TestSparseBarrierOrdersAccesses(t *testing.T) {
-	n := denseClockThreshold + 1
+	const n = 65
 	w := sim.NewWorld(n)
 	sw := Enable(w)
 	sw.images[1].RemoteWrite(9, 0, 0, 16, "Put")
@@ -115,9 +114,6 @@ func TestSparseBarrierOrdersAccesses(t *testing.T) {
 	}
 	for id := 0; id < n; id++ {
 		vc := sw.images[id].vc
-		if !vc.sparseMode() {
-			t.Fatalf("image %d clock densified", id)
-		}
 		if vc.base == nil {
 			t.Fatalf("image %d did not rebase onto the round's shared base", id)
 		}
@@ -127,17 +123,13 @@ func TestSparseBarrierOrdersAccesses(t *testing.T) {
 	}
 }
 
-// TestDenseModeUnchangedAtThreshold pins the boundary: at exactly the
-// threshold the clock is dense (historical behaviour), one above it is
-// sparse, and both representations agree on a verdict.
-func TestDenseModeUnchangedAtThreshold(t *testing.T) {
-	for _, n := range []int{denseClockThreshold, denseClockThreshold + 1} {
+// TestRaceVerdictAt64And65Images: an unsynchronized overlapping write pair
+// is one finding at world sizes 64 and 65 alike — the verdict does not
+// depend on world size.
+func TestRaceVerdictAt64And65Images(t *testing.T) {
+	for _, n := range []int{64, 65} {
 		w := sim.NewWorld(n)
 		sw := Enable(w)
-		wantSparse := n > denseClockThreshold
-		if got := sw.images[0].vc.sparseMode(); got != wantSparse {
-			t.Fatalf("n=%d sparseMode=%v, want %v", n, got, wantSparse)
-		}
 		sw.images[1].RemoteWrite(9, 0, 0, 16, "Put")
 		sw.images[2].RemoteWrite(9, 0, 8, 16, "Put")
 		if got := sw.Count(); got != 1 {

@@ -1,18 +1,6 @@
 package sanitizer
 
-import (
-	"unsafe"
-
-	"cafmpi/internal/obs"
-)
-
-// denseClockThreshold is the world size above which vector clocks switch
-// from dense arrays to the base+delta sparse representation. Matching the
-// obs subsystem's comm-matrix threshold keeps "small world" meaning one
-// thing across the tree: at or below it every structure is dense and
-// byte-for-byte identical to the historical implementation (the CI
-// sanitize runs at np=8 exercise exactly that path).
-const denseClockThreshold = obs.DenseCommThreshold
+import "unsafe"
 
 // baseClock is a world-shared dense clock floor. Full-world collective
 // rounds materialize one (the pointwise max of every member's deposit) and
@@ -33,36 +21,22 @@ func (b *baseClock) at(j int) uint64 {
 	return b.c[j]
 }
 
-// vclock is one vector clock. Dense mode (n <= denseClockThreshold) is a
-// plain array, bit-identical in behaviour to the pre-sparse sanitizer.
-// Sparse mode stores value(j) = max(base.at(j), m[j]): a shared dense
-// floor plus a private delta map sized by communication degree, which is
-// what keeps sanitizer memory per image flat in world size (ROADMAP item
-// 1's last O(P) structure).
+// vclock is one vector clock, stored as value(j) = max(base.at(j), m[j]):
+// a shared dense floor plus a private delta map sized by communication
+// degree, which is what keeps sanitizer memory per image flat in world
+// size.
 type vclock struct {
-	n     int
-	dense []uint64 // non-nil iff dense mode
-	base  *baseClock
-	m     map[int32]uint64
+	base *baseClock
+	m    map[int32]uint64
 }
 
-func newVClock(n, own int) *vclock {
-	v := &vclock{n: n}
-	if n <= denseClockThreshold {
-		v.dense = make([]uint64, n)
-		// Component own starts at 1 so a fresh image's accesses are NOT
-		// happens-before-ordered for peers whose clocks still hold 0.
-		v.dense[own] = 1
-	} else {
-		v.m = map[int32]uint64{int32(own): 1}
-	}
-	return v
+func newVClock(own int) *vclock {
+	// Component own starts at 1 so a fresh image's accesses are NOT
+	// happens-before-ordered for peers whose clocks still hold 0.
+	return &vclock{m: map[int32]uint64{int32(own): 1}}
 }
 
 func (v *vclock) get(j int) uint64 {
-	if v.dense != nil {
-		return v.dense[j]
-	}
 	val := v.base.at(j)
 	if e, ok := v.m[int32(j)]; ok && e > val {
 		val = e
@@ -71,13 +45,7 @@ func (v *vclock) get(j int) uint64 {
 }
 
 // set installs value val for component j; callers only ever raise values.
-func (v *vclock) set(j int, val uint64) {
-	if v.dense != nil {
-		v.dense[j] = val
-		return
-	}
-	v.m[int32(j)] = val
-}
+func (v *vclock) set(j int, val uint64) { v.m[int32(j)] = val }
 
 // bump increments component j.
 func (v *vclock) bump(j int) {
@@ -87,12 +55,7 @@ func (v *vclock) bump(j int) {
 // clone returns a snapshot safe to publish: the base is shared (it is
 // immutable), the delta copied.
 func (v *vclock) clone() *vclock {
-	c := &vclock{n: v.n, base: v.base}
-	if v.dense != nil {
-		c.dense = append([]uint64(nil), v.dense...)
-		return c
-	}
-	c.m = make(map[int32]uint64, len(v.m))
+	c := &vclock{base: v.base, m: make(map[int32]uint64, len(v.m))}
 	for j, e := range v.m {
 		c.m[j] = e
 	}
@@ -102,21 +65,12 @@ func (v *vclock) clone() *vclock {
 // join folds other into v (pointwise max). other is read-only: published
 // snapshots may be joined concurrently by several acquirers.
 func (v *vclock) join(o *vclock) {
-	if v.dense != nil {
-		for j, val := range o.dense {
-			if val > v.dense[j] {
-				v.dense[j] = val
-			}
-		}
-		return
-	}
 	if o.base != nil && o.base != v.base {
 		if v.base == nil || o.base.seq > v.base.seq {
 			// Adopt the newer floor: keep only the entries of the current
 			// representation that exceed it. The old floor must be scanned —
 			// unlike rebaseJoin there is no domination guarantee here — but
-			// bases only exist above the threshold and only change at
-			// full-world rounds, so the scan is rare.
+			// bases only change at full-world rounds, so the scan is rare.
 			old := v.base
 			v.base = o.base
 			if old != nil {
@@ -153,7 +107,7 @@ func (v *vclock) join(o *vclock) {
 // only delta entries written after that snapshot can exceed b. Owned
 // memory afterwards is the surviving delta alone.
 func (v *vclock) rebaseJoin(b *baseClock) {
-	if v.dense != nil || b == nil {
+	if b == nil {
 		return
 	}
 	for j, e := range v.m {
@@ -164,11 +118,8 @@ func (v *vclock) rebaseJoin(b *baseClock) {
 	v.base = b
 }
 
-// sparseMode reports whether v uses the base+delta representation.
-func (v *vclock) sparseMode() bool { return v.dense == nil }
-
 // clockEntryBytes approximates one delta-map entry: key + value plus Go
-// map bucket overhead (~1.5x headroom), mirroring obs.sparseCellBytes.
+// map bucket overhead (~1.5x headroom), mirroring obs.commCellBytes.
 const clockEntryBytes = int64(unsafe.Sizeof(int32(0))+unsafe.Sizeof(uint64(0))) * 3 / 2
 
 // memBytes is the clock's owned footprint. The shared base is counted as
@@ -179,10 +130,7 @@ func (v *vclock) memBytes() int64 {
 	if v == nil {
 		return 0
 	}
-	total := int64(unsafe.Sizeof(*v))
-	total += int64(len(v.dense)) * int64(unsafe.Sizeof(uint64(0)))
-	total += int64(len(v.m)) * clockEntryBytes
-	return total
+	return int64(unsafe.Sizeof(*v)) + int64(len(v.m))*clockEntryBytes
 }
 
 // materializeLocked folds a full-world round's deposits into one shared
