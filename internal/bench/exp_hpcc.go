@@ -74,7 +74,7 @@ func raFigure(id, title string, platform func(Options) *fabric.Params, withNoSRQ
 	return Experiment{
 		ID:    id,
 		Title: title,
-		Paper: "GASNet leads at small P; on Fusion SRQ saturation halves CAF-GASNet beyond 128 ranks while NOSRQ tracks CAF-MPI; CAF-MPI trails GASNet at scale (FlushAll-burdened notifies), all below ideal.",
+		Paper: "Fusion: CAF-GASNet leads up to 64 ranks; from 128 ranks SRQ saturation sets in (CAF-GASNet 0.36 -> 0.21 GUPS) and CAF-MPI overtakes it, while CAF-GASNet-NOSRQ tracks CAF-MPI. Edison (no SRQ): CAF-GASNet leads at every P. All series below ideal.",
 		Run: func(o Options) (*Table, error) {
 			o = o.withDefaults()
 			pf := platform(o)

@@ -218,7 +218,6 @@ func Boot(p *sim.Proc, cfg Config) (*Image, error) {
 		}
 	}
 	im.world.ref = sub.WorldTeam()
-	im.world.buildIndex()
 	return im, nil
 }
 

@@ -104,7 +104,8 @@ type Substrate interface {
 	// the runtime computes the membership itself, then calls MakeTeam.
 	SplitTeam(t TeamRef, color, key int) (TeamRef, error)
 	// MakeTeam wraps an explicit world-rank list as a team handle (used by
-	// the runtime's fallback split).
+	// the runtime's fallback split). The handle may keep worldRanks; the
+	// caller must not modify it afterwards.
 	MakeTeam(worldRanks []int, myRank int) (TeamRef, error)
 
 	// AllocEvents collectively creates a substrate-native event transport

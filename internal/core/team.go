@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"cafmpi/internal/elem"
 )
@@ -14,9 +15,8 @@ type Team struct {
 	ref TeamRef
 	id  uint64
 
-	worldToTeam map[int]int
-	coll        collState
-	syncEvs     *Events // lazy SYNC IMAGES handshake events
+	coll    collState
+	syncEvs *Events // lazy SYNC IMAGES handshake events
 }
 
 // Rank returns this image's rank within the team.
@@ -40,25 +40,6 @@ func (t *Team) initColl() {
 	t.coll.credits = make(map[int]int64)
 }
 
-func (t *Team) buildIndex() {
-	t.worldToTeam = make(map[int]int, t.Size())
-	for r := 0; r < t.Size(); r++ {
-		t.worldToTeam[t.WorldRank(r)] = r
-	}
-	if t.coll.sig == nil {
-		t.initColl()
-	}
-}
-
-// TeamRankOfWorld translates a world rank into this team (-1 if absent).
-func (t *Team) TeamRankOfWorld(w int) int {
-	r, ok := t.worldToTeam[w]
-	if !ok {
-		return -1
-	}
-	return r
-}
-
 // Split partitions the team by color, ordering each new team by (key, old
 // rank) — the CAF 2.0 team_split operation. Images passing a negative color
 // receive a nil team. Split is collective over t.
@@ -78,7 +59,7 @@ func (t *Team) Split(color, key int) (*Team, error) {
 		return nil, nil
 	}
 	nt := &Team{im: t.im, ref: ref, id: id}
-	nt.buildIndex()
+	nt.initColl()
 	t.im.registerTeam(nt)
 	return nt, nil
 }
@@ -103,12 +84,8 @@ func (t *Team) genericSplit(color, key int) (TeamRef, error) {
 			group = append(group, member{int(all[2*r+1]), r})
 		}
 	}
-	sort.Slice(group, func(i, j int) bool {
-		if group[i].key != group[j].key {
-			return group[i].key < group[j].key
-		}
-		return group[i].oldRank < group[j].oldRank
-	})
+	// Old-rank order already, so a stable sort by key gives (key, old rank).
+	slices.SortStableFunc(group, func(a, b member) int { return cmp.Compare(a.key, b.key) })
 	worldRanks := make([]int, len(group))
 	myRank := -1
 	for i, m := range group {

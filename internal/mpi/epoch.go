@@ -23,18 +23,17 @@ import (
 //   - Sparse (fabric.MPICosts.SparseFlush, foMPI-like): clean ranks are free.
 //
 // The set is cleared at FlushAll, RflushAll and LockAll, and per peer on
-// targeted Flush. Invariant: every rank with hasPending is in dirty.
+// targeted Flush. Invariant: every target with pending operations is dirty.
 type epoch struct {
 	env  *Env
 	comm *Comm
 
-	// Per-target (comm rank) completion tracking: the latest remote-
-	// completion timestamp of issued operations, and whether any operation
-	// is unflushed. pendingOps counts unflushed operations per target;
-	// pendingTotal is their sum, feeding the pending_rma_max gauge.
-	pendingT     []int64
-	hasPending   []bool
-	pendingOps   []int64
+	// pending holds one entry per target (comm rank) ever issued to,
+	// allocated on first use. A flush zeroes the op count but keeps the
+	// stamp as a high-water mark: Rflush and RflushAll clear without
+	// advancing the clock, so a later op with an earlier stamp still waits
+	// for it. pendingTotal sums the op counts (the pending_rma_max gauge).
+	pending      map[int32]*peerPending
 	pendingTotal int64
 
 	// dirty holds the comm ranks this epoch has touched; peerScratch and
@@ -47,16 +46,16 @@ type epoch struct {
 	worldScratch []int
 }
 
-// epInit sizes the epoch for comm and latches the mode from the platform.
+// peerPending is one target's latest remote-completion stamp and count of
+// unflushed operations.
+type peerPending struct{ t, ops int64 }
+
+// epInit binds the epoch to comm and latches the mode from the platform.
 func (ep *epoch) epInit(env *Env, comm *Comm) {
 	ep.env = env
 	ep.comm = comm
-	n := comm.Size()
-	ep.pendingT = make([]int64, n)
-	ep.hasPending = make([]bool, n)
-	ep.pendingOps = make([]int64, n)
 	ep.sparse = env.costs().SparseFlush
-	ep.dirty.Init(n)
+	ep.dirty.Init(comm.Size())
 }
 
 // notePending records a remote completion timestamp for target and marks
@@ -64,11 +63,16 @@ func (ep *epoch) epInit(env *Env, comm *Comm) {
 // funnels through here, so the dirty set is exactly "peers this epoch
 // touched".
 func (ep *epoch) notePending(target int, t int64) {
-	if t > ep.pendingT[target] {
-		ep.pendingT[target] = t
+	pp := ep.pending[int32(target)]
+	if pp == nil {
+		if ep.pending == nil {
+			ep.pending = make(map[int32]*peerPending)
+		}
+		pp = &peerPending{}
+		ep.pending[int32(target)] = pp
 	}
-	ep.hasPending[target] = true
-	ep.pendingOps[target]++
+	pp.t = max(pp.t, t)
+	pp.ops++
 	ep.pendingTotal++
 	ep.env.sh.Max(obs.CtrPendingRMAMax, ep.pendingTotal)
 	ep.touch(target)
@@ -84,11 +88,16 @@ func (ep *epoch) touch(target int) {
 	ep.env.connect(ep.comm.ranks[target])
 }
 
-// clearPending marks target flushed, releasing its outstanding-op count.
-func (ep *epoch) clearPending(target int) {
-	ep.hasPending[target] = false
-	ep.pendingTotal -= ep.pendingOps[target]
-	ep.pendingOps[target] = 0
+// takePending marks target flushed, releasing its outstanding-op count, and
+// returns its completion stamp; ok is false when nothing was pending.
+func (ep *epoch) takePending(target int) (stamp int64, ok bool) {
+	pp := ep.pending[int32(target)]
+	if pp == nil || pp.ops == 0 {
+		return 0, false
+	}
+	ep.pendingTotal -= pp.ops
+	pp.ops = 0
+	return pp.t, true
 }
 
 // dirtyPeers returns the touched comm ranks in ascending order, reusing
@@ -119,12 +128,11 @@ func (ep *epoch) flushTarget(target int) {
 	p := ep.env.p
 	t0 := p.Now()
 	var waited int64
-	pending := ep.hasPending[target]
+	stamp, pending := ep.takePending(target)
 	if pending {
-		p.AdvanceTo(ep.pendingT[target])
+		p.AdvanceTo(stamp)
 		waited = p.Now() - t0
 		p.Advance(c.FlushNS)
-		ep.clearPending(target)
 	} else {
 		p.Advance(c.FlushScanNS)
 	}
@@ -175,12 +183,11 @@ func (ep *epoch) flushAllEpoch() {
 	for _, t := range peers {
 		p.Advance(cleanNS*int64(t-next) + c.FlushScanNS)
 		next = t + 1
-		if ep.hasPending[t] {
+		if stamp, ok := ep.takePending(t); ok {
 			pre := p.Now()
-			p.AdvanceTo(ep.pendingT[t])
+			p.AdvanceTo(stamp)
 			waited += p.Now() - pre
 			p.Advance(c.FlushNS)
-			ep.clearPending(t)
 			flushed++
 		}
 	}
@@ -228,15 +235,13 @@ func (ep *epoch) rflushAllEpoch() int64 {
 	t0 := p.Now()
 	scanned := 0
 	for _, t := range ep.dirtyPeers() {
-		if !ep.hasPending[t] {
+		stamp, ok := ep.takePending(t)
+		if !ok {
 			continue
 		}
 		scanned++
 		p.Advance(c.FlushScanNS)
-		if tt := ep.pendingT[t] + c.FlushNS; tt > done {
-			done = tt
-		}
-		ep.clearPending(t)
+		done = max(done, stamp+c.FlushNS)
 	}
 	ep.dirty.Clear()
 	if scanned > 0 {
@@ -289,6 +294,3 @@ func (ep *epoch) lockAllEpoch() {
 	}
 	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
-
-// dirtyCount exposes the dirty-set size for tests.
-func (ep *epoch) dirtyCount() int { return ep.dirty.Len() }

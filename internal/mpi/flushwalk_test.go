@@ -11,7 +11,8 @@ import (
 )
 
 // The flush family walks only the dirty peers and charges the clean ranks
-// between them in bulk. This property test holds it to the specification it
+// between them in bulk, and keeps per-target completion state in a map of
+// the peers touched. This property test holds it to the specification it
 // replaced: a reference that literally visits t = 0..Size-1, with plain
 // per-rank arrays for every piece of state.
 
@@ -171,19 +172,29 @@ func (g *flushRig) check(ref *refEpoch, quiescent bool) error {
 	}
 	var pendingTotal int64
 	for t := 0; t < ref.size; t++ {
-		if g.hasPending[t] != ref.hasPending[t] {
-			return fmt.Errorf("hasPending[%d] = %v, per-rank loop %v", t, g.hasPending[t], ref.hasPending[t])
+		var pp peerPending
+		if e := g.pending[int32(t)]; e != nil {
+			pp = *e
 		}
-		if g.hasPending[t] && !g.dirty.Has(t) {
+		if has := pp.ops > 0; has != ref.hasPending[t] {
+			return fmt.Errorf("rank %d pending = %v, per-rank loop %v", t, has, ref.hasPending[t])
+		}
+		if pp.ops > 0 && !g.dirty.Has(t) {
 			return fmt.Errorf("rank %d has pending operations but is not in the walked set", t)
 		}
-		pendingTotal += g.pendingOps[t]
+		if pp.t != ref.pendingT[t] {
+			return fmt.Errorf("rank %d completion stamp %d, per-rank loop %d", t, pp.t, ref.pendingT[t])
+		}
+		pendingTotal += pp.ops
+	}
+	if len(g.pending) > ref.size {
+		return fmt.Errorf("%d pending entries on a %d-rank window", len(g.pending), ref.size)
 	}
 	if g.pendingTotal != pendingTotal {
 		return fmt.Errorf("pendingTotal %d, sum of pendingOps %d", g.pendingTotal, pendingTotal)
 	}
-	if quiescent && (pendingTotal != 0 || g.dirtyCount() != 0) {
-		return fmt.Errorf("after a flush-all: pendingTotal %d, dirty set %d, want 0 and 0", pendingTotal, g.dirtyCount())
+	if quiescent && (pendingTotal != 0 || g.dirty.Len() != 0) {
+		return fmt.Errorf("after a flush-all: pendingTotal %d, dirty set %d, want 0 and 0", pendingTotal, g.dirty.Len())
 	}
 	var comps [3]int64
 	for _, e := range g.sh.Edges() {
@@ -227,7 +238,7 @@ func runFlushProperty(n int, sparse, dynamic bool, seed int64) error {
 	for step := 0; step < 80; step++ {
 		quiescent := false
 		var err error
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 4: // a burst of RMA ops with random completion stamps, some in the past
 			for k := rng.Intn(n + 2); k > 0; k-- {
 				t, stamp := rng.Intn(n), p.Now()+int64(rng.Intn(6000))-1000
@@ -262,6 +273,26 @@ func runFlushProperty(n int, sparse, dynamic bool, seed int64) error {
 				}
 			}
 			quiescent = true
+		case op == 10 && g.win != nil:
+			// Rflush or RflushAll clears a target without advancing the
+			// clock; re-noting it below that stale high-water mark must
+			// still wait for the mark at the next flush.
+			t := rng.Intn(n)
+			var r *Request
+			var want int64
+			if rng.Intn(2) == 0 {
+				r, err = g.win.Rflush(t)
+				want = ref.rflush(t)
+			} else {
+				r, err = g.win.RflushAll()
+				want = ref.rflushAll()
+			}
+			if err == nil && r.completeT != want {
+				err = fmt.Errorf("request-generating flush completes at %d, per-rank loop %d", r.completeT, want)
+			}
+			stamp := ref.pendingT[t] - 1 - int64(rng.Intn(1000))
+			g.notePending(t, stamp)
+			ref.note(t, stamp)
 		case op == 9 && rng.Intn(2) == 0: // close and reopen the epoch
 			if err = g.UnlockAll(); err == nil {
 				err = g.LockAll()
@@ -314,7 +345,7 @@ func TestFlushAllFindsPendingAcrossLockAll(t *testing.T) {
 		if err := g.win.FlushAll(); err != nil {
 			t.Fatal(err)
 		}
-		if g.hasPending[100] || g.pendingTotal != 0 {
+		if g.pending[100].ops != 0 || g.pendingTotal != 0 {
 			t.Errorf("sparse=%v: FlushAll after Lock;Put;LockAll left rank 100 pending", sparse)
 		}
 		if now := g.env.p.Now(); now < 50_000 {

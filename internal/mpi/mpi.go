@@ -14,7 +14,9 @@
 package mpi
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -42,13 +44,53 @@ const (
 	clsColl
 )
 
-// worldState is shared by every image's Env: context-id allocation and the
-// window directory.
+// worldState is shared by every image's Env: context-id allocation, the
+// window directory and the communicator groups.
 type worldState struct {
 	nextCtx atomic.Int64
-	winsMu  sync.Mutex
-	wins    map[string]*winShared // guarded by winsMu
-	dynWins map[string]*dynShared // guarded by winsMu
+	world   *group // COMM_WORLD's group, immutable
+	mu      sync.Mutex
+	wins    map[string]*winShared // guarded by mu
+	dynWins map[string]*dynShared // guarded by mu
+	groups  map[groupKey]*group   // guarded by mu
+}
+
+// groupKey names a Split's group world-wide: (context id, first world
+// rank), the identity the window registry keys on.
+type groupKey struct{ ctx, first int }
+
+// group is a communicator's immutable rank table, shared by every member's
+// Comm and every Dup of it: one per communicator, not one per image.
+type group struct {
+	ranks []int // comm rank -> world rank
+	// worldToRank inverts ranks (world rank -> comm rank, -1 outside), so
+	// wildcard matching and status translation are O(1) per message.
+	worldToRank []int32
+}
+
+func newGroup(worldSize int, ranks []int) *group {
+	g := &group{ranks: ranks, worldToRank: make([]int32, worldSize)}
+	for i := range g.worldToRank {
+		g.worldToRank[i] = -1
+	}
+	for r, wr := range ranks {
+		g.worldToRank[wr] = int32(r)
+	}
+	return g
+}
+
+// internGroup returns the world's one group for a Split result, built from
+// the first member's ranks; the others' (equal) ranks are dropped.
+func (ws *worldState) internGroup(worldSize, ctx int, ranks []int) *group {
+	key := groupKey{ctx, ranks[0]}
+	ws.mu.Lock()
+	defer ws.mu.Unlock()
+	g, ok := ws.groups[key]
+	if !ok {
+		g = newGroup(worldSize, ranks)
+		ws.groups[key] = g
+	}
+	return g
 }
 
 // Env is one image's MPI library instance (the result of MPI_Init).
@@ -105,7 +147,12 @@ type Env struct {
 // here each call returns a fresh independent Env, which tests exploit.
 func Init(p *sim.Proc, net *fabric.Net) *Env {
 	ws := p.World().Shared("mpi.world", func() any {
-		w := &worldState{wins: make(map[string]*winShared), dynWins: make(map[string]*dynShared)}
+		ranks := make([]int, p.N())
+		for i := range ranks {
+			ranks[i] = i
+		}
+		w := &worldState{world: newGroup(p.N(), ranks), wins: make(map[string]*winShared),
+			dynWins: make(map[string]*dynShared), groups: make(map[groupKey]*group)}
 		w.nextCtx.Store(2) // 0,1 reserved for COMM_WORLD
 		return w
 	}).(*worldState)
@@ -123,11 +170,7 @@ func Init(p *sim.Proc, net *fabric.Net) *Env {
 	env.flt = faults.Enabled(p.World())
 	env.progSpec = fabric.MatchSpec{Classes: fabric.Classes(clsP2P), Src: fabric.AnySrc, Filter: env.postedFilter}
 
-	ranks := make([]int, p.N())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	env.world = newComm(env, ranks, p.ID(), 0)
+	env.world = newComm(env, ws.world, p.ID(), 0)
 
 	// Connection state and per-peer eager buffer pools: MPICH derivatives
 	// preallocate these, which is what makes the MPI runtime's memory
@@ -190,15 +233,10 @@ func (e *Env) costs() *fabric.MPICosts { return &e.net.Params().MPI }
 // Comm is an MPI communicator: an ordered group of world ranks plus an
 // isolated matching context.
 type Comm struct {
-	env    *Env
-	ranks  []int // comm rank -> world rank
-	myRank int   // this image's rank within the comm
-	ctx    int   // base context id; ctx is p2p, ctx+1 collectives
-
-	// worldToRank inverts ranks (world rank -> comm rank, -1 outside), so
-	// wildcard matching and status translation are O(1) per message instead
-	// of a scan (or a map built per probe).
-	worldToRank []int32
+	env *Env
+	*group
+	myRank int // this image's rank within the comm
+	ctx    int // base context id; ctx is p2p, ctx+1 collectives
 
 	// Cached endpoint match specs with their filters bound once. A Comm is
 	// private to its image's goroutine, so mutating the probe fields between
@@ -212,17 +250,10 @@ type Comm struct {
 	icollSeq int // nonblocking collectives issued so far (collective order)
 }
 
-// newComm builds a communicator with its rank inversion and cached match
-// specs. Every Comm must be created through it.
-func newComm(env *Env, ranks []int, myRank, ctx int) *Comm {
-	c := &Comm{env: env, ranks: ranks, myRank: myRank, ctx: ctx}
-	c.worldToRank = make([]int32, env.p.N())
-	for i := range c.worldToRank {
-		c.worldToRank[i] = -1
-	}
-	for r, wr := range ranks {
-		c.worldToRank[wr] = int32(r)
-	}
+// newComm builds a communicator over the shared group g with its cached
+// match specs. Every Comm must be created through it.
+func newComm(env *Env, g *group, myRank, ctx int) *Comm {
+	c := &Comm{env: env, group: g, myRank: myRank, ctx: ctx}
 	c.probeSpec = fabric.MatchSpec{Classes: fabric.Classes(clsP2P), Src: fabric.AnySrc, Filter: c.probeFilter}
 	c.ctxSpec = fabric.MatchSpec{Classes: fabric.Classes(clsP2P), Src: fabric.AnySrc, Before: fabric.NoTimeGate, Filter: c.ctxFilter}
 	return c
@@ -257,13 +288,14 @@ func (c *Comm) WorldRank(r int) int { return c.ranks[r] }
 // Env returns the owning MPI environment.
 func (c *Comm) Env() *Env { return c.env }
 
-// Dup returns a duplicate communicator with a fresh context (collective).
+// Dup returns a duplicate communicator with a fresh context over the same
+// group (collective).
 func (c *Comm) Dup() (*Comm, error) {
 	ctx, err := c.allocCtx()
 	if err != nil {
 		return nil, err
 	}
-	return newComm(c.env, append([]int(nil), c.ranks...), c.myRank, ctx), nil
+	return newComm(c.env, c.group, c.myRank, ctx), nil
 }
 
 // Split partitions the communicator by color, ordering each new group by
@@ -284,28 +316,24 @@ func (c *Comm) Split(color, key int) (*Comm, error) {
 		return nil, nil
 	}
 	type member struct{ key, oldRank int }
-	var group []member
+	var members []member
 	for r := 0; r < c.Size(); r++ {
 		if int(pairs[2*r]) == color {
-			group = append(group, member{int(pairs[2*r+1]), r})
+			members = append(members, member{int(pairs[2*r+1]), r})
 		}
 	}
-	// Stable order by (key, old rank): insertion sort keeps it dependency-free.
-	for i := 1; i < len(group); i++ {
-		for j := i; j > 0 && (group[j].key < group[j-1].key ||
-			(group[j].key == group[j-1].key && group[j].oldRank < group[j-1].oldRank)); j-- {
-			group[j], group[j-1] = group[j-1], group[j]
-		}
-	}
-	ranks := make([]int, 0, len(group))
+	// Members are in old-rank order, so a stable sort by key orders them by
+	// (key, old rank).
+	slices.SortStableFunc(members, func(a, b member) int { return cmp.Compare(a.key, b.key) })
+	ranks := make([]int, 0, len(members))
 	myRank := 0
-	for i, m := range group {
+	for i, m := range members {
 		ranks = append(ranks, c.ranks[m.oldRank])
 		if m.oldRank == c.myRank {
 			myRank = i
 		}
 	}
-	return newComm(c.env, ranks, myRank, ctx), nil
+	return newComm(c.env, c.env.ws.internGroup(c.env.p.N(), ctx, ranks), myRank, ctx), nil
 }
 
 // allocCtx performs the collective context-id agreement: the group's rank 0

@@ -387,6 +387,7 @@ func TestCommDupIsolation(t *testing.T) {
 }
 
 func TestCommSplit(t *testing.T) {
+	groups := make([]*group, 6)
 	runMPI(t, 6, func(e *Env) error {
 		c := e.CommWorld()
 		color := c.Rank() % 2
@@ -397,6 +398,14 @@ func TestCommSplit(t *testing.T) {
 		}
 		if sub.Size() != 3 {
 			return fmt.Errorf("split size %d, want 3", sub.Size())
+		}
+		groups[c.Rank()] = sub.group
+		dup, err := sub.Dup()
+		if err != nil {
+			return err
+		}
+		if dup.group != sub.group {
+			return fmt.Errorf("world rank %d: Dup copied its parent's group", c.Rank())
 		}
 		// World ranks in the group sorted by descending world rank.
 		wantRank := map[int]int{0: 2, 2: 1, 4: 0, 1: 2, 3: 1, 5: 0}[c.Rank()]
@@ -418,6 +427,16 @@ func TestCommSplit(t *testing.T) {
 		}
 		return nil
 	})
+	// Members of one new communicator share one rank table; the two
+	// disjoint groups born of the same Split do not.
+	for r := 2; r < 6; r++ {
+		if groups[r] != groups[r%2] {
+			t.Errorf("world ranks %d and %d hold different tables for one communicator", r%2, r)
+		}
+	}
+	if groups[0] == groups[1] {
+		t.Error("the two colors of one Split share a rank table")
+	}
 }
 
 func TestSplitUndefinedColor(t *testing.T) {

@@ -50,14 +50,14 @@ func WinAllocate(c *Comm, size int) (*Win, error) {
 	key := fmt.Sprintf("win/%d/%d/%d", c.ctx, c.winSeq, c.ranks[0])
 	c.winSeq++
 	ws := c.env.ws
-	ws.winsMu.Lock()
+	ws.mu.Lock()
 	sh, ok := ws.wins[key]
 	if !ok {
 		sh = &winShared{key: key, bases: make([][]byte, c.Size()), atomMu: make([]sync.Mutex, c.Size())}
 		ws.wins[key] = sh
 	}
 	sh.bases[c.myRank] = make([]byte, size)
-	ws.winsMu.Unlock()
+	ws.mu.Unlock()
 
 	w := &Win{sh: sh, size: size}
 	w.locked.Init(c.Size())
@@ -92,9 +92,9 @@ func (w *Win) Free() error {
 	}
 	w.freed = true
 	atomic.AddInt64(&w.env.footprint, -int64(w.size))
-	w.env.ws.winsMu.Lock()
+	w.env.ws.mu.Lock()
 	delete(w.env.ws.wins, w.sh.key)
-	w.env.ws.winsMu.Unlock()
+	w.env.ws.mu.Unlock()
 	return nil
 }
 
@@ -431,12 +431,8 @@ func (w *Win) Rflush(target int) (*Request, error) {
 		return nil, err
 	}
 	done := w.env.p.Now()
-	if w.hasPending[target] {
-		done += w.env.net.Params().LatencyNS
-		if w.pendingT[target]+w.env.costs().FlushNS > done {
-			done = w.pendingT[target] + w.env.costs().FlushNS
-		}
-		w.clearPending(target)
+	if stamp, ok := w.takePending(target); ok {
+		done = max(done+w.env.net.Params().LatencyNS, stamp+w.env.costs().FlushNS)
 	}
 	w.env.sh.Add(obs.CtrFlushCalls, 1)
 	r := newRequest(w.env, reqRMA, nil)

@@ -46,7 +46,7 @@ func TestDirtySetTracksRMAOps(t *testing.T) {
 			return c.Barrier()
 		}
 		expect := func(what string, want int) error {
-			if got := w.dirtyCount(); got != want {
+			if got := w.dirty.Len(); got != want {
 				return fmt.Errorf("after %s: dirty set has %d peers, want %d", what, got, want)
 			}
 			return nil

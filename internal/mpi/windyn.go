@@ -51,13 +51,13 @@ func WinCreateDynamic(c *Comm) (*DynWin, error) {
 	key := fmt.Sprintf("dynwin/%d/%d/%d", c.ctx, c.winSeq, c.ranks[0])
 	c.winSeq++
 	ws := c.env.ws
-	ws.winsMu.Lock()
+	ws.mu.Lock()
 	shAny, ok := ws.dynWins[key]
 	if !ok {
 		shAny = &dynShared{regions: make(map[DynRegion][]byte), atomMu: make([]sync.Mutex, c.Size())}
 		ws.dynWins[key] = shAny
 	}
-	ws.winsMu.Unlock()
+	ws.mu.Unlock()
 
 	w := &DynWin{
 		sh:       shAny,

@@ -35,19 +35,20 @@ type ReportRow struct {
 // divergence — the component list is, in order, the to-do list for host-
 // side optimization (ROADMAP item 2).
 type Report struct {
-	Rows       []ReportRow `json:"rows"` // ranked by Divergence, descending
-	Host       HostStats   `json:"host"`
-	Attributed float64     `json:"attributed"` // fraction of host time under named components (always 1: residual is named)
-	MeasuredNS int64       `json:"measured_ns"` // Σ scaled site spans, excluding the residual
-	SampleEvery int        `json:"sample_every"`
+	Rows        []ReportRow `json:"rows"` // ranked by Divergence, descending
+	Host        HostStats   `json:"host"`
+	Attributed  float64     `json:"attributed"`  // fraction of host time under named components (always 1: residual is named)
+	MeasuredNS  int64       `json:"measured_ns"` // Σ scaled site spans, excluding the residual
+	SampleEvery int         `json:"sample_every"`
 }
 
 // Analyze merges every image's recorder into the divergence report.
 //
-// virt is the critpath ComponentTotals map (virtual ns summed over images)
-// and virtFinishNS the virtual makespan; pass nil/0 when critpath was not
-// run — the virtual share column is then zero and divergence equals wall
-// share. Analyze calls Finish, so it is safe as the first post-run call.
+// virt is the critpath ComponentTotals map, the blame of the one critical
+// chain (its values sum to at most the makespan), and virtFinishNS the
+// virtual makespan; pass nil/0 when critpath was not run — the virtual share
+// column is then zero and divergence equals wall share. Analyze calls
+// Finish, so it is safe as the first post-run call.
 func (ww *World) Analyze(virt map[string]int64, virtFinishNS int64) *Report {
 	if ww == nil {
 		return nil
@@ -103,9 +104,7 @@ func (ww *World) Analyze(virt map[string]int64, virtFinishNS int64) *Report {
 			for _, c := range virtComps[siteByName(row.Component)] {
 				v += virt[c]
 			}
-			// Virtual totals are summed over images; normalize per image so
-			// the share is comparable to the host's single-process wall share.
-			row.VirtShare = float64(v) / float64(virtFinishNS) / float64(ww.n)
+			row.VirtShare = float64(v) / float64(virtFinishNS)
 		}
 		row.Divergence = row.WallShare - row.VirtShare
 	}

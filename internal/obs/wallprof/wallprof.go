@@ -161,7 +161,6 @@ func (r *Rec) End(s Site, t0 int64) {
 // World is the per-sim.World wallprof registry: one recorder per image plus
 // the runtime/metrics host sampler.
 type World struct {
-	n       int
 	recs    []*Rec
 	startNS int64
 	sampler *hostSampler
@@ -176,7 +175,7 @@ type World struct {
 // runtime/metrics host sampler; Finish stops it.
 func Enable(w *sim.World) *World {
 	return w.Shared(worldKey, func() any {
-		ww := &World{n: w.N(), recs: make([]*Rec, w.N()), startNS: nowNS()}
+		ww := &World{recs: make([]*Rec, w.N()), startNS: nowNS()}
 		for i := range ww.recs {
 			ww.recs[i] = &Rec{}
 		}
@@ -207,14 +206,6 @@ func (ww *World) Rec(i int) *Rec {
 		return nil
 	}
 	return ww.recs[i]
-}
-
-// N returns the world size (0 on a nil registry).
-func (ww *World) N() int {
-	if ww == nil {
-		return 0
-	}
-	return ww.n
 }
 
 // LabelImage tags the calling goroutine — which must be image p's — with

@@ -135,10 +135,14 @@ func New(p *sim.Proc, net *fabric.Net, deliver core.DeliverFunc, opt Options) (*
 		return nil, err
 	}
 	s.ep = ep
-	ranks := make([]int, p.N())
-	for i := range ranks {
-		ranks[i] = i
-	}
+	// One identity rank list per world, shared by every image's world team.
+	ranks := p.World().Shared("rtgasnet.worldranks", func() any {
+		ranks := make([]int, p.N())
+		for i := range ranks {
+			ranks[i] = i
+		}
+		return ranks
+	}).([]int)
 	s.world = &team{ranks: ranks, myRank: p.ID()}
 	s.osh = obs.For(p)
 	return s, nil
@@ -164,7 +168,7 @@ func (s *S) Proc() *sim.Proc { return s.p }
 // RDMA-put-then-AM (no AM-mediated data path needed).
 func (s *S) Caps() core.Caps { return core.Caps{} }
 
-// team is a plain world-rank list.
+// team is a plain world-rank list, read-only once built.
 type team struct {
 	ranks  []int
 	myRank int
@@ -183,9 +187,9 @@ func (s *S) SplitTeam(core.TeamRef, int, int) (core.TeamRef, error) {
 	return nil, core.ErrUnsupported
 }
 
-// MakeTeam wraps an explicit membership list.
+// MakeTeam wraps an explicit membership list, taking ownership of it.
 func (s *S) MakeTeam(worldRanks []int, myRank int) (core.TeamRef, error) {
-	return &team{ranks: append([]int(nil), worldRanks...), myRank: myRank}, nil
+	return &team{ranks: worldRanks, myRank: myRank}, nil
 }
 
 // segment is a registered-memory coarray slab.
