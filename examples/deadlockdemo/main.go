@@ -3,7 +3,7 @@
 //
 //  1. A rank-branched barrier: image 0 enters a collective no other image
 //     reaches, so it waits forever (barriermatch flags this statically).
-//  2. An out-of-epoch put: an MPI_PUT issued before any Lock/LockAll, which
+//  2. An out-of-epoch put: an MPI_PUT issued before any LockAll, which
 //     the runtime rejects as an MPI-3 RMA usage violation (epochcheck flags
 //     it statically).
 //

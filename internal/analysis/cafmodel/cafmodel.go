@@ -66,28 +66,17 @@ var Collectives = map[Key]bool{
 	{"core", "Team", "CoBroadcastI64"}: true,
 	{"core", "Team", "Split"}:          true,
 	// mpi.Comm blocking collectives (tree variants route through these).
-	{"mpi", "Comm", "Barrier"}:            true,
-	{"mpi", "Comm", "Bcast"}:              true,
-	{"mpi", "Comm", "Reduce"}:             true,
-	{"mpi", "Comm", "Allreduce"}:          true,
-	{"mpi", "Comm", "Gather"}:             true,
-	{"mpi", "Comm", "Allgather"}:          true,
-	{"mpi", "Comm", "Scatter"}:            true,
-	{"mpi", "Comm", "Alltoall"}:           true,
-	{"mpi", "Comm", "Alltoallv"}:          true,
-	{"mpi", "Comm", "Scan"}:               true,
-	{"mpi", "Comm", "Gatherv"}:            true,
-	{"mpi", "Comm", "Scatterv"}:           true,
-	{"mpi", "Comm", "ReduceScatterBlock"}: true,
-	{"mpi", "Comm", "Dup"}:                true,
-	{"mpi", "Comm", "Split"}:              true,
-	{"mpi", "Comm", "SplitShared"}:        true,
+	{"mpi", "Comm", "Barrier"}:   true,
+	{"mpi", "Comm", "Bcast"}:     true,
+	{"mpi", "Comm", "Reduce"}:    true,
+	{"mpi", "Comm", "Allreduce"}: true,
+	{"mpi", "Comm", "Allgather"}: true,
+	{"mpi", "Comm", "Alltoall"}:  true,
+	{"mpi", "Comm", "Dup"}:       true,
+	{"mpi", "Comm", "Split"}:     true,
 	// Window lifecycle is collective over the communicator.
-	{"mpi", "", "WinAllocate"}:       true,
-	{"mpi", "", "WinAllocateShared"}: true,
-	{"mpi", "", "WinCreateDynamic"}:  true,
-	{"mpi", "Win", "Free"}:           true,
-	{"mpi", "DynWin", "Free"}:        true,
+	{"mpi", "", "WinAllocate"}: true,
+	{"mpi", "Win", "Free"}:     true,
 	// gasnet split-phase barrier: both halves are collective.
 	{"gasnet", "Ep", "Barrier"}:       true,
 	{"gasnet", "Ep", "BarrierNotify"}: true,
@@ -106,16 +95,12 @@ var RankSources = map[Key]bool{
 
 // EpochOpen calls open a passive-target access epoch on their receiver.
 var EpochOpen = map[Key]bool{
-	{"mpi", "Win", "Lock"}:       true,
-	{"mpi", "Win", "LockAll"}:    true,
-	{"mpi", "DynWin", "LockAll"}: true,
+	{"mpi", "Win", "LockAll"}: true,
 }
 
 // EpochClose calls end the epoch on their receiver.
 var EpochClose = map[Key]bool{
-	{"mpi", "Win", "Unlock"}:       true,
-	{"mpi", "Win", "UnlockAll"}:    true,
-	{"mpi", "DynWin", "UnlockAll"}: true,
+	{"mpi", "Win", "UnlockAll"}: true,
 }
 
 // RMAOps are window operations defined only inside an epoch. The value
@@ -130,27 +115,18 @@ var RMAOps = map[Key]bool{
 	{"mpi", "Win", "GetAccumulate"}:  true,
 	{"mpi", "Win", "FetchAndOp"}:     true,
 	{"mpi", "Win", "CompareAndSwap"}: true,
-	{"mpi", "DynWin", "Put"}:         true,
-	{"mpi", "DynWin", "Get"}:         true,
-	{"mpi", "DynWin", "Accumulate"}:  true,
 }
 
 // WinFlush calls complete outstanding RMA on their receiver window.
 var WinFlush = map[Key]bool{
-	{"mpi", "Win", "Flush"}:       true,
-	{"mpi", "Win", "FlushLocal"}:  true,
-	{"mpi", "Win", "FlushAll"}:    true,
-	{"mpi", "Win", "Rflush"}:      true,
-	{"mpi", "Win", "RflushAll"}:   true,
-	{"mpi", "DynWin", "Flush"}:    true,
-	{"mpi", "DynWin", "FlushAll"}: true,
+	{"mpi", "Win", "Flush"}:     true,
+	{"mpi", "Win", "FlushAll"}:  true,
+	{"mpi", "Win", "RflushAll"}: true,
 }
 
 // WinCreators are the calls whose result is a window in the closed state.
 var WinCreators = map[Key]bool{
-	{"mpi", "", "WinAllocate"}:       true,
-	{"mpi", "", "WinAllocateShared"}: true,
-	{"mpi", "", "WinCreateDynamic"}:  true,
+	{"mpi", "", "WinAllocate"}: true,
 }
 
 // DeferredGets start a transfer into their destination buffer that is
@@ -158,7 +134,6 @@ var WinCreators = map[Key]bool{
 // buffer argument.
 var DeferredGets = map[Key]int{
 	{"core", "Coarray", "GetDeferred"}:   2,
-	{"gasnet", "Ep", "GetNBI"}:           2,
 	{"gasnet", "Ep", "GetRegisteredNBI"}: 3,
 }
 

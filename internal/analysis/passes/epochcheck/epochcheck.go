@@ -3,12 +3,13 @@
 // function's control-flow graph (internal/analysis/cfg) it tracks the epoch
 // state of every window whose lifecycle is locally visible:
 //
-//	WinAllocate ──▶ closed ──Lock/LockAll──▶ open ──RMA──▶ open+dirty
-//	                  ▲                                        │
-//	                  └──────────Unlock/UnlockAll◀──Flush──────┘
+//	WinAllocate ──▶ closed ──LockAll──▶ open ──RMA──▶ open+dirty
+//	                  ▲                                   │
+//	                  └──────────UnlockAll◀──Flush────────┘
 //
 // and reports (1) RMA calls while a window is provably closed, (2) an epoch
-// closed while RMA is still unflushed, and (3) Unlock without an open epoch.
+// closed while RMA is still unflushed, and (3) UnlockAll without an open
+// epoch.
 // Windows arriving through parameters, fields or interfaces have unknown
 // state and are never reported directly — instead the pass exports a
 // RequiresEpochFact naming the parameters a function performs RMA through, so
@@ -17,7 +18,7 @@
 // epoch at segment allocation and does RMA through struct fields) quiet
 // without a single suppression, while still catching the epochless path end
 // to end. Deferred transfers are tracked the same way: a buffer filled by
-// GetDeferred/GetNBI is poisoned until a fence (Cofence, SyncNBIAll, any
+// GetDeferred/GetRegisteredNBI is poisoned until a fence (Cofence, SyncNBIAll, any
 // collective — the runtime release-fences before synchronizing); reading it
 // earlier is flagged.
 //
@@ -307,7 +308,7 @@ func isWindow(t types.Type) bool {
 		return false
 	}
 	name := n.Obj().Name()
-	return (name == "Win" || name == "DynWin") && n.Obj().Pkg() != nil &&
+	return name == "Win" && n.Obj().Pkg() != nil &&
 		analysis.PkgBase(n.Obj().Pkg()) == "mpi"
 }
 
@@ -420,7 +421,7 @@ func (s *state) call(fn *types.Func, paramIdx map[types.Object]int, call *ast.Ca
 		switch f.stateOf(obj) {
 		case openDirty:
 			if report != nil {
-				report.Reportf(call.Pos(), "%s closes the epoch on %s with unflushed RMA; Flush before Unlock", k.Name, objName(obj))
+				report.Reportf(call.Pos(), "%s closes the epoch on %s with unflushed RMA; Flush before UnlockAll", k.Name, objName(obj))
 			}
 		case closed:
 			if report != nil {
@@ -436,7 +437,7 @@ func (s *state) call(fn *types.Func, paramIdx map[types.Object]int, call *ast.Ca
 		switch f.stateOf(obj) {
 		case closed:
 			if report != nil {
-				report.Reportf(call.Pos(), "RMA %s on %s outside any passive-target epoch; open one with Lock/LockAll first", render(k), objName(obj))
+				report.Reportf(call.Pos(), "RMA %s on %s outside any passive-target epoch; open one with LockAll first", render(k), objName(obj))
 			}
 		case open:
 			f.win[obj] = openDirty
@@ -520,8 +521,7 @@ func isTransfer(k cafmodel.Key) bool {
 	}
 	if k.Pkg == "gasnet" && k.Recv == "Ep" {
 		switch k.Name {
-		case "Put", "Get", "PutNBI", "GetNBI", "PutRegistered", "GetRegistered",
-			"PutRegisteredNBI", "GetRegisteredNBI":
+		case "PutRegistered", "GetRegistered", "PutRegisteredNBI", "GetRegisteredNBI":
 			return true
 		}
 	}

@@ -18,13 +18,13 @@ func outOfEpoch(c *mpi.Comm) error {
 	return nil
 }
 
-// disciplined: lock, transfer, flush, unlock — silent.
+// disciplined: lock-all, transfer, flush, unlock-all — silent.
 func disciplined(c *mpi.Comm) error {
 	w, err := mpi.WinAllocate(c, 64)
 	if err != nil {
 		return err
 	}
-	if err := w.Lock(1); err != nil {
+	if err := w.LockAll(); err != nil {
 		return err
 	}
 	buf := make([]byte, 8)
@@ -34,7 +34,7 @@ func disciplined(c *mpi.Comm) error {
 	if err := w.Flush(1); err != nil {
 		return err
 	}
-	return w.Unlock(1)
+	return w.UnlockAll()
 }
 
 // missingFlush: the epoch closes with the put still in flight.
@@ -43,14 +43,14 @@ func missingFlush(c *mpi.Comm) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Lock(1); err != nil {
+	if err := w.LockAll(); err != nil {
 		return err
 	}
 	buf := make([]byte, 8)
 	if err := w.Put(buf, 1, 0); err != nil {
 		return err
 	}
-	return w.Unlock(1) // want `Unlock closes the epoch on w with unflushed RMA`
+	return w.UnlockAll() // want `UnlockAll closes the epoch on w with unflushed RMA`
 }
 
 // afterClose: the epoch ended; the window is closed again.
@@ -75,7 +75,7 @@ func unlockWithoutLock(c *mpi.Comm) error {
 	if err != nil {
 		return err
 	}
-	return w.Unlock(1) // want `Unlock on w without an open epoch`
+	return w.UnlockAll() // want `UnlockAll on w without an open epoch`
 }
 
 // conditionalFlush: one path unlocks dirty — still reported.
@@ -84,7 +84,7 @@ func conditionalFlush(c *mpi.Comm, ok bool) error {
 	if err != nil {
 		return err
 	}
-	if err := w.Lock(1); err != nil {
+	if err := w.LockAll(); err != nil {
 		return err
 	}
 	buf := make([]byte, 8)
@@ -96,7 +96,7 @@ func conditionalFlush(c *mpi.Comm, ok bool) error {
 			return err
 		}
 	}
-	return w.Unlock(1) // want `Unlock closes the epoch on w with unflushed RMA`
+	return w.UnlockAll() // want `UnlockAll closes the epoch on w with unflushed RMA`
 }
 
 // paramWindow: state is unknown through a parameter — lenient, silent here;

@@ -11,9 +11,7 @@ type Win struct{}
 
 func WinAllocate(c *Comm, size int) (*Win, error) { return &Win{}, nil }
 
-func (w *Win) Lock(target int) error                    { return nil }
 func (w *Win) LockAll() error                           { return nil }
-func (w *Win) Unlock(target int) error                  { return nil }
 func (w *Win) UnlockAll() error                         { return nil }
 func (w *Win) Put(buf []byte, target, disp int) error   { return nil }
 func (w *Win) Get(buf []byte, target, disp int) error   { return nil }

@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"cafmpi/internal/faults"
 	"cafmpi/internal/sim"
@@ -92,4 +93,54 @@ func TestDupDeliveryRaceStress(t *testing.T) {
 	if err := checkNonOvertaking(8, 120, plan); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWaitActivityWakeContract parks a goroutine in WaitActivity and checks
+// that it wakes for every event that bumps the activity counter: an arrival
+// of each message class from an arbitrary source, a Poke, and a WakeAll.
+// The waiter is known to be parked (counted under the endpoint mutex)
+// before each event fires, so a lost wakeup hangs the case and fails it.
+func TestWaitActivityWakeContract(t *testing.T) {
+	const np = 5
+	l := AttachNet(sim.NewWorld(np), testParams()).Layer("t")
+	ep := l.Endpoint(0)
+	all := MatchSpec{Classes: AllClasses, Src: AnySrc, Before: NoTimeGate}
+	parkThen := func(name string, fire func()) {
+		t.Helper()
+		seq := ep.Seq()
+		woke := make(chan uint64, 1)
+		go func() { woke <- ep.WaitActivity(seq) }()
+		for parked := false; !parked; {
+			ep.mu.Lock()
+			parked = ep.waiters == 1
+			ep.mu.Unlock()
+			if !parked {
+				runtime.Gosched()
+			}
+		}
+		fire()
+		select {
+		case got := <-woke:
+			if got <= seq {
+				t.Errorf("%s: woke with seq %d, want > %d", name, got, seq)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: parked waiter was never woken", name)
+		}
+	}
+	for class := 0; class < classLimit; class++ {
+		src := (class*3 + 1) % np // arbitrary, and not the endpoint itself
+		parkThen(fmt.Sprintf("arrival class %d from %d", class, src), func() {
+			m := NewMessage()
+			m.Src, m.Dst, m.Class = src, 0, uint8(class)
+			l.Inject(Delivery{Msg: m})
+		})
+		m, _ := ep.TryRecvSpec(&all)
+		if m == nil || int(m.Class) != class {
+			t.Fatalf("class %d: queued arrival not found", class)
+		}
+		m.Release()
+	}
+	parkThen("Poke", ep.Poke)
+	parkThen("WakeAll", ep.WakeAll)
 }

@@ -20,14 +20,13 @@ import (
 // never of the world size. Non-overtaking per (src, class, tag) stream
 // follows because a stream's messages sit in the list in program order.
 //
-// Blocked receivers register the match domain they care about (classes ×
-// source, plus whether pokes count); injection and Poke wake only waiters
-// whose domain intersects the event instead of broadcasting to everyone.
+// Injection and Poke wake the endpoint's parked waiters, if any; with none
+// parked the send path skips the broadcast.
 //
 // Each endpoint owns its queue lock, as each image of the modelled machine
 // owns its receive queues: senders to different images never share a lock.
 
-// AnySrc in a MatchSpec or WaitDomain matches messages from every source.
+// AnySrc in a MatchSpec matches messages from every source.
 const AnySrc = -1
 
 // NoTimeGate as MatchSpec.Before disables arrival-time gating.
@@ -51,9 +50,6 @@ func Classes(cs ...uint8) ClassSet {
 	return s
 }
 
-// Has reports whether class c is in the set.
-func (s ClassSet) Has(c uint8) bool { return s&(1<<c) != 0 }
-
 // MatchSpec describes which queued messages a receive or probe is willing
 // to take. Class and source narrow the queue walk; Before gates on the
 // message's arrival stamp (a receiver must not consume a message that is
@@ -71,11 +67,6 @@ type MatchSpec struct {
 	Filter  func(*Message) bool
 }
 
-// matchAll is the spec equivalent of the old unconditioned predicates.
-func matchAll(filter func(*Message) bool) MatchSpec {
-	return MatchSpec{Classes: AllClasses, Src: AnySrc, Before: NoTimeGate, Filter: filter}
-}
-
 // PollState is the poll-loop snapshot an endpoint returns under a single
 // lock acquisition: the activity counter, the queue depth, and the earliest
 // arrival stamp among spec-matching messages that are not yet eligible
@@ -87,18 +78,6 @@ type PollState struct {
 	Earliest    int64
 	HasEarliest bool
 }
-
-// WaitDomain describes which events a blocked waiter must be woken for:
-// arrivals whose (class, src) intersect it, and pokes if Pokes is set.
-// A too-narrow domain loses wakeups; when unsure, widen.
-type WaitDomain struct {
-	Classes ClassSet
-	Src     int // world rank, or AnySrc
-	Pokes   bool
-}
-
-// FullDomain wakes for every arrival and every poke.
-var FullDomain = WaitDomain{Classes: AllClasses, Src: AnySrc, Pokes: true}
 
 // Endpoint is one image's receive queue within a layer.
 type Endpoint struct {
@@ -116,14 +95,7 @@ type Endpoint struct {
 	present ClassSet               // classes with at least one queued message; guarded by mu
 	nextSeq uint64                 // next arrival stamp; guarded by mu
 	depth   int                    // total queued messages; guarded by mu
-
-	// Registered domains of currently blocked waiters. In this simulator at
-	// most the endpoint's owning image blocks on it (plus transient test
-	// harness waiters), so a tiny inline array suffices; overflow falls back
-	// to always-wake, which is merely the old Broadcast behavior.
-	doms        [2]WaitDomain // guarded by mu
-	ndoms       int           // guarded by mu
-	domOverflow int           // guarded by mu
+	waiters int                    // goroutines parked in cond.Wait; guarded by mu
 }
 
 func newEndpoint(l *Layer, rank int) *Endpoint {
@@ -159,7 +131,7 @@ func (e *Endpoint) enqueueLocked(m *Message) (wake bool) {
 	e.depth++
 	e.present |= 1 << m.Class
 	e.seq.Add(1)
-	return e.wakeNeededLocked(m.Class, m.Src, false)
+	return e.waiters > 0
 }
 
 // unlinkLocked removes queued message m from its class list.
@@ -180,27 +152,6 @@ func (e *Endpoint) unlinkLocked(m *Message) {
 		e.present &^= 1 << m.Class
 	}
 	e.depth--
-}
-
-// wakeNeededLocked reports whether any registered waiter's domain
-// intersects an arrival of (class, src), or a poke when isPoke is set.
-func (e *Endpoint) wakeNeededLocked(class uint8, src int, isPoke bool) bool {
-	if e.domOverflow > 0 {
-		return true
-	}
-	for i := 0; i < e.ndoms; i++ {
-		d := &e.doms[i]
-		if isPoke {
-			if d.Pokes {
-				return true
-			}
-			continue
-		}
-		if d.Classes.Has(class) && (d.Src == AnySrc || d.Src == src) {
-			return true
-		}
-	}
-	return false
 }
 
 // findLocked returns, still queued, the least-arrival-stamp message eligible
@@ -335,48 +286,15 @@ func (e *Endpoint) PollStateFor(spec *MatchSpec) PollState {
 // it. Messages are taken in arrival order, which preserves the
 // non-overtaking guarantee for any (src, class, tag) stream.
 func (e *Endpoint) Recv(match func(*Message) bool) *Message {
-	spec := matchAll(match)
+	spec := MatchSpec{Classes: AllClasses, Src: AnySrc, Before: NoTimeGate, Filter: match}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for {
 		if m, _, _ := e.takeLocked(&spec); m != nil {
 			return m
 		}
-		e.waitLocked(FullDomain)
+		e.waitLocked()
 	}
-}
-
-// TryRecv is Recv without blocking; it returns nil when nothing matches.
-func (e *Endpoint) TryRecv(match func(*Message) bool) *Message {
-	spec := matchAll(match)
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	m, _, _ := e.takeLocked(&spec)
-	return m
-}
-
-// Pending reports whether any queued message matches.
-func (e *Endpoint) Pending(match func(*Message) bool) bool {
-	spec := matchAll(match)
-	return e.PeekSpec(&spec) != nil
-}
-
-// Peek returns the first queued matching message without removing it, or
-// nil. Probes use this.
-func (e *Endpoint) Peek(match func(*Message) bool) *Message {
-	spec := matchAll(match)
-	return e.PeekSpec(&spec)
-}
-
-// EarliestArrival returns the smallest arrival stamp among queued messages
-// matching match. Blocking receivers use it to advance virtual time when
-// every candidate message is still in the virtual future (delivering such a
-// message "early" would drag the receiver's clock to the sender's and let
-// skew compound).
-func (e *Endpoint) EarliestArrival(match func(*Message) bool) (int64, bool) {
-	spec := matchAll(match)
-	st := e.PollStateFor(&spec)
-	return st.Earliest, st.HasEarliest
 }
 
 // Seq returns a counter that increases with every enqueued message and every
@@ -385,60 +303,34 @@ func (e *Endpoint) Seq() uint64 {
 	return e.seq.Load()
 }
 
-// waitLocked registers d and blocks until the cond is signaled for it.
-// Callers must hold e.mu and re-check their predicate on return. Every event
-// a waiter can be woken for happens under e.mu, and sync.Cond.Wait registers
-// its ticket before releasing the lock, so a wakeup cannot fall between the
-// caller's check and the park.
-func (e *Endpoint) waitLocked(d WaitDomain) {
-	slot := -1
-	if e.ndoms < len(e.doms) {
-		slot = e.ndoms
-		e.doms[slot] = d
-		e.ndoms++
-	} else {
-		e.domOverflow++
-	}
+// waitLocked parks until the cond is signaled. Callers must hold e.mu and
+// re-check their predicate on return. Every event a waiter can be woken for
+// happens under e.mu, and sync.Cond.Wait registers its ticket before
+// releasing the lock, so a wakeup cannot fall between the caller's check
+// and the park.
+func (e *Endpoint) waitLocked() {
+	e.waiters++
 	e.cond.Wait()
-	if slot >= 0 {
-		// Waiters deregister in any order; swap-remove our domain by value
-		// (domains are plain data, any equal entry is interchangeable).
-		for i := 0; i < e.ndoms; i++ {
-			if e.doms[i] == d {
-				e.ndoms--
-				e.doms[i] = e.doms[e.ndoms]
-				return
-			}
-		}
-		panic("fabric: waiter domain lost")
-	}
-	e.domOverflow--
+	e.waiters--
 }
 
 // WaitActivity blocks until the endpoint's activity counter passes since.
-// It returns the new counter value. The waiter is woken for every arrival
-// and poke; use WaitActivityFor to scope the wakeup.
+// It returns the new counter value. The waiter is woken for every arrival,
+// poke and WakeAll. Callers must sample Seq before checking the condition
+// they sleep on.
 func (e *Endpoint) WaitActivity(since uint64) uint64 {
-	return e.WaitActivityFor(since, FullDomain)
-}
-
-// WaitActivityFor blocks until the activity counter passes since, waking
-// only for events in domain d. Callers must sample Seq before checking the
-// condition they sleep on, and d must cover every event that could satisfy
-// that condition — including pokes when completion callbacks signal it.
-func (e *Endpoint) WaitActivityFor(since uint64, d WaitDomain) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	for e.seq.Load() <= since {
-		e.waitLocked(d)
+		e.waitLocked()
 	}
 	return e.seq.Load()
 }
 
-// WakeAll bumps the activity counter and wakes every parked waiter
-// regardless of domain. The fault state's failure latch uses it so blocked
-// receivers re-check their loop condition — and observe the error — after
-// an image crash or a job cancellation.
+// WakeAll bumps the activity counter and wakes every parked waiter. The
+// fault state's failure latch uses it so blocked receivers re-check their
+// loop condition — and observe the error — after an image crash or a job
+// cancellation.
 func (e *Endpoint) WakeAll() {
 	e.mu.Lock()
 	e.seq.Add(1)
@@ -446,13 +338,13 @@ func (e *Endpoint) WakeAll() {
 	e.cond.Broadcast()
 }
 
-// Poke wakes poke-sensitive waiters and bumps the activity counter without
+// Poke wakes parked waiters and bumps the activity counter without
 // enqueuing a message. Request-completion callbacks use it so a single wait
 // loop can cover both message arrival and remote completion events.
 func (e *Endpoint) Poke() {
 	e.mu.Lock()
 	e.seq.Add(1)
-	wake := e.wakeNeededLocked(0, 0, true)
+	wake := e.waiters > 0
 	e.mu.Unlock()
 	if wake {
 		e.cond.Broadcast()

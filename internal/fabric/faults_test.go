@@ -114,7 +114,8 @@ func TestDuplicateDedup(t *testing.T) {
 				t.Errorf("size %d: got %d bytes", size, len(m.Data))
 			}
 			l.Absorb(p, m, 0)
-			if d := l.Endpoint(1).TryRecv(func(*Message) bool { return true }); d != nil {
+			all := matchAll(nil)
+			if d, _ := l.Endpoint(1).TryRecvSpec(&all); d != nil {
 				t.Errorf("size %d: duplicate escaped the dedup sweep: %+v", size, d)
 			}
 			return nil

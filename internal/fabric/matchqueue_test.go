@@ -24,8 +24,13 @@ type refQueue struct {
 	q []*Message
 }
 
+// matchAll is a spec over every class and source with no time gate.
+func matchAll(filter func(*Message) bool) MatchSpec {
+	return MatchSpec{Classes: AllClasses, Src: AnySrc, Before: NoTimeGate, Filter: filter}
+}
+
 func refEligible(m *Message, s *MatchSpec) bool {
-	return s.Classes.Has(m.Class) && (s.Src == AnySrc || s.Src == m.Src) && (s.Filter == nil || s.Filter(m))
+	return s.Classes&(1<<m.Class) != 0 && (s.Src == AnySrc || s.Src == m.Src) && (s.Filter == nil || s.Filter(m))
 }
 
 // find returns the index of the first message eligible under s, or -1 plus

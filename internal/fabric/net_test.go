@@ -204,18 +204,23 @@ func TestTryRecvAndPending(t *testing.T) {
 		net := AttachNet(p.World(), testParams())
 		l := net.Layer("t")
 		ep := l.Endpoint(0)
-		if ep.TryRecv(func(*Message) bool { return true }) != nil {
-			t.Error("TryRecv on empty queue returned a message")
+		all := matchAll(nil)
+		tag4 := matchAll(func(m *Message) bool { return m.Tag == 4 })
+		if m, _ := ep.TryRecvSpec(&all); m != nil {
+			t.Error("TryRecvSpec on empty queue returned a message")
 		}
-		if ep.Pending(func(*Message) bool { return true }) {
-			t.Error("Pending true on empty queue")
+		if ep.PeekSpec(&all) != nil {
+			t.Error("PeekSpec found a message on an empty queue")
 		}
 		l.Send(p, &Message{Dst: 0, Tag: 4}) // self-send
-		if !ep.Pending(func(m *Message) bool { return m.Tag == 4 }) {
-			t.Error("Pending false after self-send")
+		if ep.PeekSpec(&tag4) == nil {
+			t.Error("PeekSpec missed the self-send")
 		}
-		if m := ep.TryRecv(func(m *Message) bool { return m.Tag == 4 }); m == nil {
-			t.Error("TryRecv missed queued message")
+		if m, _ := ep.TryRecvSpec(&tag4); m == nil {
+			t.Error("TryRecvSpec missed queued message")
+		}
+		if ep.PeekSpec(&all) != nil {
+			t.Error("PeekSpec found a message after the only one was taken")
 		}
 		return nil
 	})

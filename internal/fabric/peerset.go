@@ -4,9 +4,8 @@ import "sort"
 
 // PeerSet is a set of peer ranks in [0, n) whose memory stays proportional
 // to activity, not world size: a map allocated on the first Add. It backs
-// the per-epoch dirty-peer tracking (which peers did this epoch touch), the
-// on-demand connection tables (which peers have established state) and the
-// per-target lock set of an MPI window.
+// the per-epoch dirty-peer tracking (which peers did this epoch touch) and
+// the on-demand connection tables (which peers have established state).
 //
 // The zero value is an empty set over a zero-rank world; call Init before
 // use. PeerSet is not safe for concurrent use — each image owns its sets.
@@ -21,9 +20,6 @@ func (s *PeerSet) Init(n int) {
 	s.m = nil
 }
 
-// Len returns the number of members.
-func (s *PeerSet) Len() int { return len(s.m) }
-
 // Add inserts rank r, reporting whether it was newly added.
 func (s *PeerSet) Add(r int) bool {
 	if r < 0 || r >= s.n {
@@ -37,12 +33,6 @@ func (s *PeerSet) Add(r int) bool {
 	}
 	s.m[int32(r)] = struct{}{}
 	return true
-}
-
-// Has reports whether rank r is a member.
-func (s *PeerSet) Has(r int) bool {
-	_, ok := s.m[int32(r)]
-	return ok
 }
 
 // Remove deletes rank r if present.

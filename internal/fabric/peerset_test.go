@@ -6,6 +6,15 @@ import (
 	"testing"
 )
 
+// setLen and setHas observe a set's members directly; the runtime only
+// ever adds, removes, clears and walks.
+func setLen(s *PeerSet) int { return len(s.m) }
+
+func setHas(s *PeerSet, r int) bool {
+	_, ok := s.m[int32(r)]
+	return ok
+}
+
 func TestPeerSetBasics(t *testing.T) {
 	for _, n := range []int{8, 64, 65, 4096} {
 		var s PeerSet
@@ -18,26 +27,26 @@ func TestPeerSetBasics(t *testing.T) {
 		}
 		s.Add(0)
 		s.Add(n / 2)
-		if got := s.Len(); got != 3 {
+		if got := setLen(&s); got != 3 {
 			t.Fatalf("n=%d: Len=%d, want 3", n, got)
 		}
-		if !s.Has(0) || !s.Has(n/2) || !s.Has(n-1) || s.Has(1) {
+		if !setHas(&s, 0) || !setHas(&s, n/2) || !setHas(&s, n-1) || setHas(&s, 1) {
 			t.Fatalf("n=%d: membership wrong", n)
 		}
 		// Out-of-range ranks are rejected, never counted.
-		if s.Add(-1) || s.Add(n) || s.Has(-1) || s.Has(n) {
+		if s.Add(-1) || s.Add(n) || setHas(&s, -1) || setHas(&s, n) {
 			t.Fatalf("n=%d: out-of-range ranks must be rejected", n)
 		}
 		s.Remove(n / 2)
-		if s.Has(n/2) || s.Len() != 2 {
+		if setHas(&s, n/2) || setLen(&s) != 2 {
 			t.Fatalf("n=%d: Remove(%d) failed", n, n/2)
 		}
 		s.Remove(n / 2) // idempotent
-		if s.Len() != 2 {
+		if setLen(&s) != 2 {
 			t.Fatalf("n=%d: double Remove changed Len", n)
 		}
 		s.Clear()
-		if s.Len() != 0 || s.Has(0) || s.Has(n-1) {
+		if setLen(&s) != 0 || setHas(&s, 0) || setHas(&s, n-1) {
 			t.Fatalf("n=%d: Clear left members behind", n)
 		}
 		if !s.Add(0) {
@@ -95,8 +104,8 @@ func TestPeerSetBoundary63_64_65(t *testing.T) {
 				t.Fatalf("n=%d: Add(%d) = true on duplicate", n, r)
 			}
 		}
-		if s.Len() != 3 || !s.Has(hi) {
-			t.Fatalf("n=%d: Len=%d Has(%d)=%v after inserts", n, s.Len(), hi, s.Has(hi))
+		if setLen(&s) != 3 || !setHas(&s, hi) {
+			t.Fatalf("n=%d: Len=%d Has(%d)=%v after inserts", n, setLen(&s), hi, setHas(&s, hi))
 		}
 		if got, want := s.AppendSorted(nil), []int{0, 17, hi}; !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: AppendSorted=%v, want %v", n, got, want)
@@ -104,19 +113,19 @@ func TestPeerSetBoundary63_64_65(t *testing.T) {
 
 		// Remove the top rank.
 		s.Remove(hi)
-		if s.Has(hi) || s.Len() != 2 {
-			t.Fatalf("n=%d: Remove(%d) left Has=%v Len=%d", n, hi, s.Has(hi), s.Len())
+		if setHas(&s, hi) || setLen(&s) != 2 {
+			t.Fatalf("n=%d: Remove(%d) left Has=%v Len=%d", n, hi, setHas(&s, hi), setLen(&s))
 		}
 
 		// Refill after Clear must not resurrect stale members or miscount.
 		s.Clear()
-		if s.Len() != 0 {
-			t.Fatalf("n=%d: after Clear Len=%d, want 0", n, s.Len())
+		if setLen(&s) != 0 {
+			t.Fatalf("n=%d: after Clear Len=%d, want 0", n, setLen(&s))
 		}
 		if out := s.AppendSorted(nil); len(out) != 0 {
 			t.Fatalf("n=%d: AppendSorted after Clear = %v", n, out)
 		}
-		if !s.Add(hi) || !s.Has(hi) || s.Len() != 1 {
+		if !s.Add(hi) || !setHas(&s, hi) || setLen(&s) != 1 {
 			t.Fatalf("n=%d: refill after Clear broken", n)
 		}
 	}
@@ -131,8 +140,8 @@ func TestPeerSetFullWorldSweep(t *testing.T) {
 		for r := n - 1; r >= 0; r-- { // reverse insert: order must not matter
 			s.Add(r)
 		}
-		if s.Len() != n {
-			t.Fatalf("n=%d: Len=%d after full fill", n, s.Len())
+		if setLen(&s) != n {
+			t.Fatalf("n=%d: Len=%d after full fill", n, setLen(&s))
 		}
 		out := s.AppendSorted(nil)
 		for r := 0; r < n; r++ {

@@ -103,35 +103,6 @@ func TestAMMediumPayload(t *testing.T) {
 	})
 }
 
-func TestAMLongDepositsIntoSegment(t *testing.T) {
-	const h HandlerID = 131
-	runGN(t, 2, func(p *sim.Proc, net *fabric.Net) error {
-		var userArg atomic.Int64
-		userArg.Store(-1)
-		e, err := Attach(p, net, 256, HandlerEntry{h, func(_ *Token, args []uint64, payload []byte) {
-			userArg.Store(int64(args[0]))
-		}})
-		if err != nil {
-			return err
-		}
-		if p.ID() == 0 {
-			if err := e.AMRequestLong(1, h, []byte("LONG"), 32, 99); err != nil {
-				return err
-			}
-		} else {
-			e.PollUntil(func() bool { return userArg.Load() >= 0 })
-			if userArg.Load() != 99 {
-				return fmt.Errorf("user arg %d, want 99", userArg.Load())
-			}
-			if string(e.Segment()[32:36]) != "LONG" {
-				return fmt.Errorf("segment contents %q", e.Segment()[32:36])
-			}
-		}
-		e.Barrier()
-		return nil
-	})
-}
-
 func TestAMValidation(t *testing.T) {
 	runGN(t, 2, func(p *sim.Proc, net *fabric.Net) error {
 		e, err := Attach(p, net, 16, HandlerEntry{128, func(*Token, []uint64, []byte) {}})
@@ -150,9 +121,6 @@ func TestAMValidation(t *testing.T) {
 		}
 		if err := e.AMRequestMedium(1, 128, make([]byte, MaxMedium+1)); err == nil {
 			return fmt.Errorf("oversized medium accepted")
-		}
-		if err := e.AMRequestLong(1, 128, make([]byte, 32), 0); err == nil {
-			return fmt.Errorf("long AM overflowing segment accepted")
 		}
 		if err := e.RegisterHandler(1, nil); err == nil {
 			return fmt.Errorf("system-range registration accepted")
@@ -222,16 +190,16 @@ func TestPutGetBlocking(t *testing.T) {
 		me := p.ID()
 		next := (me + 1) % 3
 		data := []byte{byte(me), byte(me + 1), byte(me + 2)}
-		if err := e.Put(next, 8, data); err != nil {
+		if err := e.PutRegistered(next, e.seg(next), 8, data); err != nil {
 			return err
 		}
 		e.Barrier()
 		prev := (me + 2) % 3
-		if e.Segment()[8] != byte(prev) {
-			return fmt.Errorf("segment got %d, want %d", e.Segment()[8], prev)
+		if e.seg(p.ID())[8] != byte(prev) {
+			return fmt.Errorf("segment got %d, want %d", e.seg(p.ID())[8], prev)
 		}
 		into := make([]byte, 3)
-		if err := e.Get(next, 8, into); err != nil {
+		if err := e.GetRegistered(next, e.seg(next), 8, into); err != nil {
 			return err
 		}
 		if into[0] != byte(me) {
@@ -254,13 +222,13 @@ func TestPutNBAndSync(t *testing.T) {
 				return err
 			}
 			e.SyncNB(h)
-			if !e.TrySyncNB(h) {
-				return fmt.Errorf("TrySyncNB false after SyncNB")
+			if p.Now() < h.localT {
+				return fmt.Errorf("SyncNB returned at %d, before local completion at %d", p.Now(), h.localT)
 			}
 		}
 		e.Barrier()
-		if p.ID() == 1 && e.Segment()[3] != 4 {
-			return fmt.Errorf("segment %v", e.Segment()[:4])
+		if p.ID() == 1 && e.seg(p.ID())[3] != 4 {
+			return fmt.Errorf("segment %v", e.seg(p.ID())[:4])
 		}
 		return nil
 	})
@@ -274,25 +242,25 @@ func TestNBITrackingAndSyncAll(t *testing.T) {
 		}
 		if p.ID() == 0 {
 			for t := 1; t < 4; t++ {
-				if err := e.PutNBI(t, 0, []byte{byte(t)}); err != nil {
+				if err := e.PutRegisteredNBI(t, e.seg(t), 0, []byte{byte(t)}); err != nil {
 					return err
 				}
 			}
-			if e.NBIOutstanding() != 3 {
-				return fmt.Errorf("outstanding %d, want 3", e.NBIOutstanding())
+			if e.nbiCount != 3 {
+				return fmt.Errorf("outstanding %d, want 3", e.nbiCount)
 			}
 			before := p.Now()
 			e.SyncNBIAll()
-			if e.NBIOutstanding() != 0 {
-				return fmt.Errorf("outstanding %d after sync", e.NBIOutstanding())
+			if e.nbiCount != 0 {
+				return fmt.Errorf("outstanding %d after sync", e.nbiCount)
 			}
 			if p.Now() <= before {
 				return fmt.Errorf("SyncNBIAll charged no completion time")
 			}
 		}
 		e.Barrier()
-		if id := p.ID(); id != 0 && e.Segment()[0] != byte(id) {
-			return fmt.Errorf("image %d segment byte %d", id, e.Segment()[0])
+		if id := p.ID(); id != 0 && e.seg(p.ID())[0] != byte(id) {
+			return fmt.Errorf("image %d segment byte %d", id, e.seg(p.ID())[0])
 		}
 		return nil
 	})
@@ -310,7 +278,7 @@ func TestSyncNBIAllCostIndependentOfJobSize(t *testing.T) {
 				return err
 			}
 			if p.ID() == 0 {
-				if err := e.PutNBI(n-1, 0, []byte{1}); err != nil {
+				if err := e.PutRegisteredNBI(n-1, e.seg(n-1), 0, []byte{1}); err != nil {
 					return err
 				}
 				t0 := p.Now()
@@ -336,13 +304,13 @@ func TestSegmentRangeValidation(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if err := e.Put(1, 30, []byte{1, 2, 3}); err == nil {
+		if _, err := e.PutNB(1, 30, []byte{1, 2, 3}); err == nil {
 			return fmt.Errorf("put past segment end accepted")
 		}
-		if err := e.Get(1, -1, make([]byte, 4)); err == nil {
+		if _, err := e.GetNB(1, -1, make([]byte, 4)); err == nil {
 			return fmt.Errorf("negative offset accepted")
 		}
-		if err := e.Put(7, 0, []byte{1}); err == nil {
+		if _, err := e.PutNB(7, 0, []byte{1}); err == nil {
 			return fmt.Errorf("bad rank accepted")
 		}
 		e.Barrier()
@@ -484,12 +452,12 @@ func TestSparseOnDemandConnections(t *testing.T) {
 			if p.ID() == 0 {
 				base = e.MemoryFootprint()
 				for i := 1; i <= touch; i++ {
-					if err := e.Put(i, 0, []byte{byte(i)}); err != nil {
+					if err := e.PutRegistered(i, e.seg(i), 0, []byte{byte(i)}); err != nil {
 						return err
 					}
 				}
 				// Second contact with a connected peer charges nothing.
-				if err := e.Put(1, 4, []byte{9}); err != nil {
+				if err := e.PutRegistered(1, e.seg(1), 4, []byte{9}); err != nil {
 					return err
 				}
 				after = e.MemoryFootprint()
@@ -555,11 +523,11 @@ func TestPutGetRoundTripProperty(t *testing.T) {
 				return err
 			}
 			if p.ID() == 0 {
-				if err := e.Put(1, o, data); err != nil {
+				if err := e.PutRegistered(1, e.seg(1), o, data); err != nil {
 					return err
 				}
 				back := make([]byte, len(data))
-				if err := e.Get(1, o, back); err != nil {
+				if err := e.GetRegistered(1, e.seg(1), o, back); err != nil {
 					return err
 				}
 				ok = bytes.Equal(back, data)

@@ -5,17 +5,16 @@ import "fmt"
 // Internal tag space for collectives (above TagUB, on the comm's collective
 // context). MPI requires every rank to call collectives on a communicator
 // in the same order, and the fabric preserves per-sender stream order, so a
-// fixed tag per algorithm round is unambiguous.
+// fixed tag per algorithm round is unambiguous. The blank holds a retired
+// collective's slot, so no surviving tag moves.
 const (
 	tagBarrier = TagUB + 1 + iota*64
 	tagBcast
 	tagReduce
-	tagGather
+	tagGather // the sparse-mode gather tree under Allgather
 	tagAllgather
-	tagScatter
+	_
 	tagAlltoall
-	tagScan
-	tagRMA // reserved for the RMA layer's internal traffic
 )
 
 // csend/crecv are blocking p2p on the collective context. The request
@@ -151,36 +150,6 @@ func (c *Comm) Allreduce(sendBuf, recvBuf []byte, dt Datatype, op Op) error {
 	return c.Bcast(recvBuf[:len(sendBuf)], dt, 0)
 }
 
-// Gather collects equal-size blocks from every rank into recvBuf at root,
-// ordered by rank. recvBuf is significant only at root and must hold
-// Size()*len(sendBuf) bytes there.
-func (c *Comm) Gather(sendBuf, recvBuf []byte, dt Datatype, root int) error {
-	c.env.checkLive()
-	if err := c.checkRank(root, "gather root"); err != nil {
-		return err
-	}
-	blk := len(sendBuf)
-	if c.myRank == root && len(recvBuf) < blk*c.Size() {
-		return fmt.Errorf("mpi: Gather recv buffer too small (%d < %d)", len(recvBuf), blk*c.Size())
-	}
-	if c.hier() {
-		return c.gatherTree(sendBuf, recvBuf, root)
-	}
-	if c.myRank != root {
-		return c.csend(sendBuf, root, tagGather)
-	}
-	copy(recvBuf[root*blk:], sendBuf)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if _, err := c.crecv(recvBuf[r*blk:(r+1)*blk], r, tagGather); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Allgather collects equal-size blocks from every rank into every rank's
 // recvBuf (ring algorithm: n-1 neighbor exchanges; gather+broadcast trees
 // with O(log n) rounds in scalable-sync mode).
@@ -209,36 +178,6 @@ func (c *Comm) Allgather(sendBuf, recvBuf []byte, dt Datatype) error {
 	return nil
 }
 
-// Scatter distributes equal-size blocks of sendBuf (significant at root)
-// to every rank's recvBuf.
-func (c *Comm) Scatter(sendBuf, recvBuf []byte, dt Datatype, root int) error {
-	c.env.checkLive()
-	if err := c.checkRank(root, "scatter root"); err != nil {
-		return err
-	}
-	blk := len(recvBuf)
-	if c.myRank == root && len(sendBuf) < blk*c.Size() {
-		return fmt.Errorf("mpi: Scatter send buffer too small (%d < %d)", len(sendBuf), blk*c.Size())
-	}
-	if c.hier() {
-		return c.scatterTree(sendBuf, recvBuf, root)
-	}
-	if c.myRank != root {
-		_, err := c.crecv(recvBuf, root, tagScatter)
-		return err
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if err := c.csend(sendBuf[r*blk:(r+1)*blk], r, tagScatter); err != nil {
-			return err
-		}
-	}
-	copy(recvBuf, sendBuf[root*blk:(root+1)*blk])
-	return nil
-}
-
 // Alltoall exchanges equal-size blocks between all pairs (pairwise-exchange
 // schedule, the algorithm MPICH uses for large messages: step i pairs rank
 // with rank±i, keeping every link busy without hot spots).
@@ -263,134 +202,4 @@ func (c *Comm) Alltoall(sendBuf, recvBuf []byte, dt Datatype) error {
 		}
 	}
 	return nil
-}
-
-// Alltoallv is Alltoall with per-destination counts and displacements
-// (byte units).
-func (c *Comm) Alltoallv(sendBuf []byte, sendCounts, sendDispls []int, recvBuf []byte, recvCounts, recvDispls []int) error {
-	c.env.checkLive()
-	n := c.Size()
-	if len(sendCounts) != n || len(sendDispls) != n || len(recvCounts) != n || len(recvDispls) != n {
-		return fmt.Errorf("mpi: Alltoallv count/displacement arrays must have comm size %d", n)
-	}
-	me := c.myRank
-	copy(recvBuf[recvDispls[me]:recvDispls[me]+recvCounts[me]],
-		sendBuf[sendDispls[me]:sendDispls[me]+sendCounts[me]])
-	for i := 1; i < n; i++ {
-		dst := (me + i) % n
-		src := (me - i + n) % n
-		if err := c.csendrecv(
-			sendBuf[sendDispls[dst]:sendDispls[dst]+sendCounts[dst]], dst, tagAlltoall,
-			recvBuf[recvDispls[src]:recvDispls[src]+recvCounts[src]], src, tagAlltoall); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Scan computes the inclusive prefix reduction over ranks: rank r receives
-// op(buf_0, ..., buf_r).
-func (c *Comm) Scan(sendBuf, recvBuf []byte, dt Datatype, op Op) error {
-	c.env.checkLive()
-	if len(recvBuf) < len(sendBuf) {
-		return fmt.Errorf("mpi: Scan recv buffer too small")
-	}
-	copy(recvBuf, sendBuf)
-	if c.myRank > 0 {
-		prev := make([]byte, len(sendBuf))
-		if _, err := c.crecv(prev, c.myRank-1, tagScan); err != nil {
-			return err
-		}
-		if err := reduceInto(recvBuf[:len(sendBuf)], prev, dt, op); err != nil {
-			return err
-		}
-		// recvBuf = op(prefix, mine): combine order fixed by commutativity.
-	}
-	if c.myRank < c.Size()-1 {
-		return c.csend(recvBuf[:len(sendBuf)], c.myRank+1, tagScan)
-	}
-	return nil
-}
-
-// Gatherv collects variable-size blocks at root: rank r contributes
-// sendBuf, landing at recvBuf[displs[r]:displs[r]+counts[r]] (byte units).
-// counts/displs/recvBuf are significant only at root.
-func (c *Comm) Gatherv(sendBuf, recvBuf []byte, counts, displs []int, root int) error {
-	c.env.checkLive()
-	if err := c.checkRank(root, "gatherv root"); err != nil {
-		return err
-	}
-	if c.myRank != root {
-		return c.csend(sendBuf, root, tagGather)
-	}
-	if len(counts) != c.Size() || len(displs) != c.Size() {
-		return fmt.Errorf("mpi: Gatherv count/displacement arrays must have comm size %d", c.Size())
-	}
-	if counts[root] != len(sendBuf) {
-		return fmt.Errorf("mpi: Gatherv root contribution %d bytes, counts[root]=%d", len(sendBuf), counts[root])
-	}
-	copy(recvBuf[displs[root]:displs[root]+counts[root]], sendBuf)
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		st, err := c.crecv(recvBuf[displs[r]:displs[r]+counts[r]], r, tagGather)
-		if err != nil {
-			return err
-		}
-		if st.Count != counts[r] {
-			return fmt.Errorf("mpi: Gatherv rank %d sent %d bytes, counts[%d]=%d", r, st.Count, r, counts[r])
-		}
-	}
-	return nil
-}
-
-// Scatterv distributes variable-size blocks from root: rank r receives
-// sendBuf[displs[r]:displs[r]+counts[r]] into recvBuf. counts/displs/
-// sendBuf are significant only at root.
-func (c *Comm) Scatterv(sendBuf []byte, counts, displs []int, recvBuf []byte, root int) error {
-	c.env.checkLive()
-	if err := c.checkRank(root, "scatterv root"); err != nil {
-		return err
-	}
-	if c.myRank != root {
-		_, err := c.crecv(recvBuf, root, tagScatter)
-		return err
-	}
-	if len(counts) != c.Size() || len(displs) != c.Size() {
-		return fmt.Errorf("mpi: Scatterv count/displacement arrays must have comm size %d", c.Size())
-	}
-	for r := 0; r < c.Size(); r++ {
-		if r == root {
-			continue
-		}
-		if err := c.csend(sendBuf[displs[r]:displs[r]+counts[r]], r, tagScatter); err != nil {
-			return err
-		}
-	}
-	copy(recvBuf, sendBuf[displs[root]:displs[root]+counts[root]])
-	return nil
-}
-
-// ReduceScatterBlock reduces equal blocks across all ranks and scatters the
-// result: every rank receives the combined block r of the concatenated
-// inputs (MPI_REDUCE_SCATTER_BLOCK). Implemented as reduce-to-0 + scatter.
-func (c *Comm) ReduceScatterBlock(sendBuf, recvBuf []byte, dt Datatype, op Op) error {
-	c.env.checkLive()
-	n := c.Size()
-	if len(sendBuf)%n != 0 {
-		return fmt.Errorf("mpi: ReduceScatterBlock send size %d not divisible by comm size %d", len(sendBuf), n)
-	}
-	blk := len(sendBuf) / n
-	if len(recvBuf) < blk {
-		return fmt.Errorf("mpi: ReduceScatterBlock recv buffer too small (%d < %d)", len(recvBuf), blk)
-	}
-	var full []byte
-	if c.myRank == 0 {
-		full = make([]byte, len(sendBuf))
-	}
-	if err := c.Reduce(sendBuf, full, dt, op, 0); err != nil {
-		return err
-	}
-	return c.Scatter(full, recvBuf[:blk], dt, 0)
 }

@@ -2,45 +2,42 @@ package mpi
 
 import "fmt"
 
-// Hierarchical collectives for the scalable-sync mode: the flat fan-in/
-// fan-out survivors (Gather, Scatter, and Allgather's n-1-round ring)
-// become binomial trees with ceil(log2 n) rounds, so the root absorbs
-// O(log n) messages instead of n-1 once FlushAll stops being the O(P)
-// cliff. The default mode keeps the flat algorithms (and their exact
-// clocks) for the paper-faithful baseline.
+// Hierarchical Allgather for the scalable-sync mode: the flat n-1-round
+// ring becomes a binomial gather tree plus a broadcast, ceil(log2 n) rounds
+// each, so no rank waits out n-1 exchanges once FlushAll stops being the
+// O(P) cliff. The default mode keeps the ring (and its exact clocks) for
+// the paper-faithful baseline.
 //
-// Both trees work in root-relative ("virtual rank") space: vr = (rank -
-// root + n) % n. Node vr's subtree covers the contiguous vr range
-// [vr, vr+width) with width = min(lowest set bit of vr, n-vr) (the root,
-// vr=0, covers everything), so aggregated payloads stay contiguous and
-// each edge carries the whole subtree in one message.
+// The gather tree is rooted at rank 0. Rank r's subtree covers the
+// contiguous rank range [r, r+width) with width = min(lowest set bit of r,
+// n-r) (rank 0 covers everything), so aggregated payloads stay contiguous
+// and each edge carries the whole subtree in one message.
 
 // hier reports whether hierarchical collectives are enabled on this
 // communicator's platform. All ranks share the platform, so the dispatch
 // agrees world-wide.
 func (c *Comm) hier() bool { return c.env.costs().SparseFlush }
 
-// subtreeWidth returns the number of vr-contiguous blocks rooted at vr.
-func subtreeWidth(vr, n int) int {
-	if vr == 0 {
+// subtreeWidth returns the number of contiguous blocks rooted at rank r.
+func subtreeWidth(r, n int) int {
+	if r == 0 {
 		return n
 	}
-	w := vr & -vr
-	if rest := n - vr; rest < w {
+	w := r & -r
+	if rest := n - r; rest < w {
 		w = rest
 	}
 	return w
 }
 
-// gatherTree is the binomial-tree gather: each node aggregates its
-// subtree's blocks (in vr order) and forwards them to its parent in one
-// message. At root, the aggregate is reordered into rank order in recvBuf;
-// recvBuf is significant only there.
-func (c *Comm) gatherTree(sendBuf, recvBuf []byte, root int) error {
+// gatherTree is the binomial-tree gather to rank 0: each node aggregates its
+// subtree's blocks (in rank order) and forwards them to its parent in one
+// message. recvBuf is significant only at rank 0.
+func (c *Comm) gatherTree(sendBuf, recvBuf []byte) error {
 	n := c.Size()
 	blk := len(sendBuf)
-	vr := (c.myRank - root + n) % n
-	width := subtreeWidth(vr, n)
+	me := c.myRank
+	width := subtreeWidth(me, n)
 	buf := sendBuf
 	if width > 1 {
 		buf = make([]byte, width*blk)
@@ -48,72 +45,22 @@ func (c *Comm) gatherTree(sendBuf, recvBuf []byte, root int) error {
 	}
 	cnt := 1
 	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			parent := (c.myRank - mask + n) % n
-			return c.csend(buf[:cnt*blk], parent, tagGather)
+		if me&mask != 0 {
+			return c.csend(buf[:cnt*blk], me-mask, tagGather)
 		}
-		if vr+mask < n {
-			child := (c.myRank + mask) % n
-			sub := subtreeWidth(vr+mask, n)
+		if child := me + mask; child < n {
+			sub := subtreeWidth(child, n)
 			st, err := c.crecv(buf[cnt*blk:(cnt+sub)*blk], child, tagGather)
 			if err != nil {
 				return err
 			}
 			if st.Count != sub*blk {
-				return errShortTreeMsg("Gather", child, st.Count, sub*blk)
+				return fmt.Errorf("mpi: Gather tree: rank %d sent %d bytes, want %d", child, st.Count, sub*blk)
 			}
 			cnt += sub
 		}
 	}
-	// Root: buf holds all n blocks in vr order; rotate back to rank order.
-	for j := 0; j < n; j++ {
-		copy(recvBuf[((root+j)%n)*blk:((root+j)%n+1)*blk], buf[j*blk:(j+1)*blk])
-	}
-	return nil
-}
-
-// scatterTree is the binomial-tree scatter: the root stages sendBuf in vr
-// order and each node receives its whole subtree from its parent, then
-// forwards sub-subtrees to its children largest-first.
-func (c *Comm) scatterTree(sendBuf, recvBuf []byte, root int) error {
-	n := c.Size()
-	blk := len(recvBuf)
-	vr := (c.myRank - root + n) % n
-	width := subtreeWidth(vr, n)
-	var buf []byte
-	mask := 1
-	if vr == 0 {
-		buf = make([]byte, n*blk)
-		for j := 0; j < n; j++ {
-			src := (root + j) % n
-			copy(buf[j*blk:(j+1)*blk], sendBuf[src*blk:(src+1)*blk])
-		}
-		for mask < n {
-			mask <<= 1
-		}
-	} else {
-		buf = make([]byte, width*blk)
-		mask = vr & -vr
-		parent := (c.myRank - mask + n) % n
-		st, err := c.crecv(buf, parent, tagScatter)
-		if err != nil {
-			return err
-		}
-		if st.Count != width*blk {
-			return errShortTreeMsg("Scatter", parent, st.Count, width*blk)
-		}
-	}
-	for m := mask >> 1; m > 0; m >>= 1 {
-		if vr+m >= n {
-			continue
-		}
-		child := (c.myRank + m) % n
-		sub := subtreeWidth(vr+m, n)
-		if err := c.csend(buf[m*blk:(m+sub)*blk], child, tagScatter); err != nil {
-			return err
-		}
-	}
-	copy(recvBuf, buf[:blk])
+	copy(recvBuf, buf[:n*blk])
 	return nil
 }
 
@@ -122,12 +69,8 @@ func (c *Comm) scatterTree(sendBuf, recvBuf []byte, root int) error {
 func (c *Comm) allgatherTree(sendBuf, recvBuf []byte, dt Datatype) error {
 	n := c.Size()
 	blk := len(sendBuf)
-	if err := c.gatherTree(sendBuf, recvBuf[:blk*n], 0); err != nil {
+	if err := c.gatherTree(sendBuf, recvBuf[:blk*n]); err != nil {
 		return err
 	}
 	return c.Bcast(recvBuf[:blk*n], dt, 0)
-}
-
-func errShortTreeMsg(what string, peer, got, want int) error {
-	return fmt.Errorf("mpi: %s tree: rank %d sent %d bytes, want %d", what, peer, got, want)
 }

@@ -8,13 +8,11 @@ import (
 	"cafmpi/internal/sim"
 )
 
-// collRun executes the Gather/Scatter/Allgather round under pf and returns
-// every image's observed data plus the slowest final clock. The data must be
-// identical between the flat and tree algorithms; the clocks need not be.
-func collRun(t *testing.T, pf *fabric.Params, n, root int) (gathered, scattered, allgathered [][]byte, finish int64) {
+// collRun executes an Allgather round under pf and returns every image's
+// observed data plus the slowest final clock. The data must be identical
+// between the flat ring and the tree; the clocks need not be.
+func collRun(t *testing.T, pf *fabric.Params, n int) (allgathered [][]byte, finish int64) {
 	t.Helper()
-	gathered = make([][]byte, n)
-	scattered = make([][]byte, n)
 	allgathered = make([][]byte, n)
 	clocks := make([]int64, n)
 	w := sim.NewWorld(n)
@@ -24,20 +22,6 @@ func collRun(t *testing.T, pf *fabric.Params, n, root int) (gathered, scattered,
 		me := c.Rank()
 		defer func() { clocks[me] = p.Now() }()
 		mine := []byte{byte(me), byte(me + 1), byte(me + 2)}
-		all := make([]byte, 3*n)
-		if err := c.Gather(mine, all, Byte, root); err != nil {
-			return err
-		}
-		if me == root {
-			gathered[me] = append([]byte(nil), all...)
-		}
-		// Scatter the gathered table back out: image i receives its own
-		// contribution again.
-		back := make([]byte, 3)
-		if err := c.Scatter(all, back, Byte, root); err != nil {
-			return err
-		}
-		scattered[me] = append([]byte(nil), back...)
 		ag := make([]byte, 3*n)
 		if err := c.Allgather(mine, ag, Byte); err != nil {
 			return err
@@ -52,27 +36,19 @@ func collRun(t *testing.T, pf *fabric.Params, n, root int) (gathered, scattered,
 			finish = cl
 		}
 	}
-	return gathered, scattered, allgathered, finish
+	return allgathered, finish
 }
 
 func TestTreeCollectivesMatchFlat(t *testing.T) {
-	// The O(log P) binomial trees behind the scalable-sync switch must be
-	// data-identical to the default flat algorithms, including non-power-of-
-	// two sizes and nonzero roots (the vr-space rotation cases).
-	for _, tc := range []struct{ n, root int }{
-		{2, 0}, {5, 3}, {8, 0}, {8, 7}, {13, 5}, {64, 1},
-	} {
-		g1, s1, a1, _ := collRun(t, tp(), tc.n, tc.root)
-		g2, s2, a2, _ := collRun(t, sp(), tc.n, tc.root)
-		if !bytes.Equal(g1[tc.root], g2[tc.root]) {
-			t.Errorf("n=%d root=%d: tree Gather %x, flat %x", tc.n, tc.root, g2[tc.root], g1[tc.root])
-		}
-		for r := 0; r < tc.n; r++ {
-			if !bytes.Equal(s1[r], s2[r]) {
-				t.Errorf("n=%d root=%d rank %d: tree Scatter %x, flat %x", tc.n, tc.root, r, s2[r], s1[r])
-			}
+	// The O(log P) gather tree plus broadcast behind the scalable-sync
+	// switch must be data-identical to the default ring, including
+	// non-power-of-two sizes.
+	for _, n := range []int{1, 2, 5, 8, 13, 64} {
+		a1, _ := collRun(t, tp(), n)
+		a2, _ := collRun(t, sp(), n)
+		for r := 0; r < n; r++ {
 			if !bytes.Equal(a1[r], a2[r]) {
-				t.Errorf("n=%d root=%d rank %d: tree Allgather %x, flat %x", tc.n, tc.root, r, a2[r], a1[r])
+				t.Errorf("n=%d rank %d: tree Allgather %x, flat %x", n, r, a2[r], a1[r])
 			}
 		}
 	}
@@ -82,31 +58,31 @@ func TestTreeCollectivesDeterministicClocks(t *testing.T) {
 	// Two identical sparse-mode runs must land on the same virtual clock:
 	// the tree schedules (and the dirty-set walks beneath them) may not
 	// depend on map iteration order or other nondeterminism.
-	_, _, _, f1 := collRun(t, sp(), 64, 3)
-	_, _, _, f2 := collRun(t, sp(), 64, 3)
+	_, f1 := collRun(t, sp(), 64)
+	_, f2 := collRun(t, sp(), 64)
 	if f1 != f2 {
 		t.Errorf("sparse collective clocks differ across identical runs: %d vs %d ns", f1, f2)
 	}
 }
 
 func TestTreeCollectivesScaleBetterThanFlat(t *testing.T) {
-	// At scale the binomial trees' O(log P) critical path must beat the flat
-	// fan-in's O(P) root bottleneck outright.
+	// At scale the tree's O(log P) critical path must beat the ring's P-1
+	// rounds outright.
 	if testing.Short() {
 		t.Skip("large-world comparison")
 	}
 	const n = 256
-	_, _, _, flat := collRun(t, tp(), n, 0)
-	_, _, _, tree := collRun(t, sp(), n, 0)
+	_, flat := collRun(t, tp(), n)
+	_, tree := collRun(t, sp(), n)
 	if tree >= flat {
-		t.Errorf("tree collectives at P=%d finished at %d ns, flat at %d ns; trees must be faster", n, tree, flat)
+		t.Errorf("tree Allgather at P=%d finished at %d ns, flat at %d ns; the tree must be faster", n, tree, flat)
 	}
 }
 
 func TestSubtreeWidthPartitionsRange(t *testing.T) {
-	// The binomial trees rely on the vr-space invariant that node vr's own
-	// block plus its children's subtrees tile [vr, vr+width) exactly — the
-	// contiguity that lets an edge carry a whole subtree in one message.
+	// The gather tree relies on the invariant that node vr's own block plus
+	// its children's subtrees tile [vr, vr+width) exactly — the contiguity
+	// that lets an edge carry a whole subtree in one message.
 	for _, n := range []int{1, 2, 3, 7, 8, 13, 64, 100} {
 		if subtreeWidth(0, n) != n {
 			t.Errorf("n=%d: root width %d, want %d", n, subtreeWidth(0, n), n)

@@ -6,9 +6,9 @@ import (
 	"cafmpi/internal/obs/wallprof"
 )
 
-// epoch is the origin-side completion state of one window's access epoch,
-// shared by Win and DynWin so the flush scan/blame sequences live in one
-// place instead of four near-identical copies.
+// epoch is the origin-side completion state of one window's access epoch:
+// the flush scan/blame sequences live here, apart from Win's argument
+// checking.
 //
 // Every RMA op marks its target in a dirty-peer set, and the flush-all paths
 // walk that set in ascending rank order — never the whole communicator. The
@@ -22,16 +22,16 @@ import (
 //
 //   - Sparse (fabric.MPICosts.SparseFlush, foMPI-like): clean ranks are free.
 //
-// The set is cleared at FlushAll, RflushAll and LockAll, and per peer on
-// targeted Flush. Invariant: every target with pending operations is dirty.
+// The set is cleared at FlushAll and RflushAll, and per peer on targeted
+// Flush. Invariant: every target with pending operations is dirty.
 type epoch struct {
 	env  *Env
 	comm *Comm
 
 	// pending holds one entry per target (comm rank) ever issued to,
 	// allocated on first use. A flush zeroes the op count but keeps the
-	// stamp as a high-water mark: Rflush and RflushAll clear without
-	// advancing the clock, so a later op with an earlier stamp still waits
+	// stamp as a high-water mark: RflushAll clears without advancing the
+	// clock, so a later op with an earlier stamp still waits
 	// for it. pendingTotal sums the op counts (the pending_rma_max gauge).
 	pending      map[int32]*peerPending
 	pendingTotal int64
@@ -119,9 +119,8 @@ func (ep *epoch) worldRanks(peers ...int) []int {
 
 // flushTarget charges the MPI_WIN_FLUSH sequence for one target: wait out
 // its outstanding completion timestamp plus FlushNS if anything is
-// pending, otherwise the bookkeeping scan. Shared by Win.Flush,
-// DynWin.Flush, and the Unlock paths; callers have already validated the
-// epoch.
+// pending, otherwise the bookkeeping scan. Win.Flush has already validated
+// the epoch.
 func (ep *epoch) flushTarget(target int) {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -267,9 +266,9 @@ func (ep *epoch) rflushAllEpoch() int64 {
 
 // lockAllEpoch charges epoch-open cost. MPICH derivatives lazily acquire
 // every rank (FlushScanNS × Size even under MPI_MODE_NOCHECK); sparse mode
-// defers per-peer acquisition to first use, so opening is O(1). Also the
-// dirty set's epoch-boundary reset — unless a single-target Lock epoch
-// still has unflushed operations, which the next FlushAll must find.
+// defers per-peer acquisition to first use, so opening is O(1). The dirty
+// set is already empty here: the UnlockAll that closed any previous epoch
+// flushed it.
 func (ep *epoch) lockAllEpoch() {
 	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
@@ -278,9 +277,6 @@ func (ep *epoch) lockAllEpoch() {
 	scanned := ep.comm.Size()
 	if ep.sparse {
 		scanned = 1
-	}
-	if ep.pendingTotal == 0 {
-		ep.dirty.Clear()
 	}
 	p.Advance(c.FlushScanNS * int64(scanned))
 	if sh := ep.env.sh; sh != nil {

@@ -77,16 +77,7 @@ func (r *refEpoch) flushAll() {
 	}
 }
 
-// rflush and rflushAll return the request's completion time.
-func (r *refEpoch) rflush(t int) int64 {
-	done := r.clock
-	if r.hasPending[t] {
-		done = max(done+r.latency, r.pendingT[t]+r.costs.FlushNS)
-		r.hasPending[t] = false
-	}
-	return done
-}
-
+// rflushAll returns the request's completion time.
 func (r *refEpoch) rflushAll() int64 {
 	done := r.clock
 	any := false
@@ -115,35 +106,18 @@ func (r *refEpoch) lockAll() {
 	}
 	r.clock += n * r.costs.FlushScanNS
 	r.scan += n * r.costs.FlushScanNS
-	// An epoch boundary resets the touched set — unless a single-target
-	// Lock epoch left operations unflushed, which must stay findable.
-	for _, pending := range r.hasPending {
-		if pending {
-			return
-		}
-	}
-	clear(r.touched)
-}
-
-// flushWindow is the flush family Win and DynWin share.
-type flushWindow interface {
-	LockAll() error
-	UnlockAll() error
-	Flush(target int) error
-	FlushAll() error
+	clear(r.touched) // an epoch boundary resets the touched set
 }
 
 // flushRig is rank 0's side of a window on an n-rank world. The flush family
 // is origin-local, so no peer runs and the window is built without the
 // collective allocation; operations are issued by marking the epoch directly.
 type flushRig struct {
-	flushWindow
-	*epoch
-	win *Win // nil on a DynWin, which has no request-generating flushes
-	sh  *obs.Shard
+	*Win
+	sh *obs.Shard
 }
 
-func newFlushRig(n int, sparse, dynamic bool) *flushRig {
+func newFlushRig(n int, sparse bool) *flushRig {
 	params := tp()
 	if sparse {
 		params = sp()
@@ -151,15 +125,7 @@ func newFlushRig(n int, sparse, dynamic bool) *flushRig {
 	w := sim.NewWorld(n)
 	obs.Enable(w, 0)
 	env := Init(w.Proc(0), fabric.AttachNet(w, params))
-	rig := &flushRig{sh: env.sh}
-	if dynamic {
-		dyn := &DynWin{}
-		rig.flushWindow, rig.epoch = dyn, &dyn.epoch
-	} else {
-		rig.win = &Win{}
-		rig.win.locked.Init(n)
-		rig.flushWindow, rig.epoch = rig.win, &rig.win.epoch
-	}
+	rig := &flushRig{Win: &Win{}, sh: env.sh}
 	rig.epInit(env, env.CommWorld())
 	return rig
 }
@@ -170,6 +136,11 @@ func (g *flushRig) check(ref *refEpoch, quiescent bool) error {
 	if got := g.env.p.Now(); got != ref.clock {
 		return fmt.Errorf("clock %d, per-rank loop %d", got, ref.clock)
 	}
+	dirty := make([]bool, ref.size)
+	walked := g.dirty.AppendSorted(nil)
+	for _, t := range walked {
+		dirty[t] = true
+	}
 	var pendingTotal int64
 	for t := 0; t < ref.size; t++ {
 		var pp peerPending
@@ -179,7 +150,7 @@ func (g *flushRig) check(ref *refEpoch, quiescent bool) error {
 		if has := pp.ops > 0; has != ref.hasPending[t] {
 			return fmt.Errorf("rank %d pending = %v, per-rank loop %v", t, has, ref.hasPending[t])
 		}
-		if pp.ops > 0 && !g.dirty.Has(t) {
+		if pp.ops > 0 && !dirty[t] {
 			return fmt.Errorf("rank %d has pending operations but is not in the walked set", t)
 		}
 		if pp.t != ref.pendingT[t] {
@@ -193,8 +164,8 @@ func (g *flushRig) check(ref *refEpoch, quiescent bool) error {
 	if g.pendingTotal != pendingTotal {
 		return fmt.Errorf("pendingTotal %d, sum of pendingOps %d", g.pendingTotal, pendingTotal)
 	}
-	if quiescent && (pendingTotal != 0 || g.dirty.Len() != 0) {
-		return fmt.Errorf("after a flush-all: pendingTotal %d, dirty set %d, want 0 and 0", pendingTotal, g.dirty.Len())
+	if quiescent && (pendingTotal != 0 || len(walked) != 0) {
+		return fmt.Errorf("after a flush-all: pendingTotal %d, dirty set %d, want 0 and 0", pendingTotal, len(walked))
 	}
 	var comps [3]int64
 	for _, e := range g.sh.Edges() {
@@ -223,8 +194,8 @@ func (g *flushRig) check(ref *refEpoch, quiescent bool) error {
 
 // runFlushProperty drives one random operation sequence through a rig and
 // the reference in lockstep.
-func runFlushProperty(n int, sparse, dynamic bool, seed int64) error {
-	g := newFlushRig(n, sparse, dynamic)
+func runFlushProperty(n int, sparse bool, seed int64) error {
+	g := newFlushRig(n, sparse)
 	params := g.env.net.Params()
 	ref := &refEpoch{size: n, sparse: sparse, costs: &params.MPI, latency: params.LatencyNS,
 		pendingT: make([]int64, n), hasPending: make([]bool, n), touched: make([]bool, n)}
@@ -257,36 +228,22 @@ func runFlushProperty(n int, sparse, dynamic bool, seed int64) error {
 			t := rng.Intn(n)
 			err = g.Flush(t)
 			ref.flush(t)
-		case op == 7 && g.win != nil:
-			t := rng.Intn(n)
+		case op == 7 || op == 8:
 			var r *Request
-			if r, err = g.win.Rflush(t); err == nil {
-				if want := ref.rflush(t); r.completeT != want {
-					err = fmt.Errorf("Rflush(%d) completes at %d, per-rank loop %d", t, r.completeT, want)
-				}
-			}
-		case op == 8 && g.win != nil:
-			var r *Request
-			if r, err = g.win.RflushAll(); err == nil {
+			if r, err = g.RflushAll(); err == nil {
 				if want := ref.rflushAll(); r.completeT != want {
 					err = fmt.Errorf("RflushAll completes at %d, per-rank loop %d", r.completeT, want)
 				}
 			}
 			quiescent = true
-		case op == 10 && g.win != nil:
-			// Rflush or RflushAll clears a target without advancing the
-			// clock; re-noting it below that stale high-water mark must
-			// still wait for the mark at the next flush.
+		case op == 10:
+			// RflushAll clears its targets without advancing the clock;
+			// re-noting one below that stale high-water mark must still
+			// wait for the mark at the next flush.
 			t := rng.Intn(n)
 			var r *Request
-			var want int64
-			if rng.Intn(2) == 0 {
-				r, err = g.win.Rflush(t)
-				want = ref.rflush(t)
-			} else {
-				r, err = g.win.RflushAll()
-				want = ref.rflushAll()
-			}
+			r, err = g.RflushAll()
+			want := ref.rflushAll()
 			if err == nil && r.completeT != want {
 				err = fmt.Errorf("request-generating flush completes at %d, per-rank loop %d", r.completeT, want)
 			}
@@ -318,38 +275,11 @@ func runFlushProperty(n int, sparse, dynamic bool, seed int64) error {
 func TestFlushWalkEqualsPerRankLoop(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 63, 64, 65, 130, 300} { // across the 64-rank PeerSet boundary
 		for _, sparse := range []bool{false, true} {
-			for _, dynamic := range []bool{false, true} {
-				for seed := int64(1); seed <= 3; seed++ {
-					if err := runFlushProperty(n, sparse, dynamic, seed); err != nil {
-						t.Errorf("n=%d sparse=%v dynwin=%v seed=%d: %v", n, sparse, dynamic, seed, err)
-					}
+			for seed := int64(1); seed <= 3; seed++ {
+				if err := runFlushProperty(n, sparse, seed); err != nil {
+					t.Errorf("n=%d sparse=%v seed=%d: %v", n, sparse, seed, err)
 				}
 			}
-		}
-	}
-}
-
-// TestFlushAllFindsPendingAcrossLockAll: operations left unflushed by a
-// single-target Lock epoch survive a LockAll's dirty-set reset, so the
-// FlushAll that follows still completes them — in both modes.
-func TestFlushAllFindsPendingAcrossLockAll(t *testing.T) {
-	for _, sparse := range []bool{false, true} {
-		g := newFlushRig(130, sparse, false)
-		if err := g.win.Lock(100); err != nil {
-			t.Fatal(err)
-		}
-		g.notePending(100, 50_000)
-		if err := g.win.LockAll(); err != nil {
-			t.Fatal(err)
-		}
-		if err := g.win.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
-		if g.pending[100].ops != 0 || g.pendingTotal != 0 {
-			t.Errorf("sparse=%v: FlushAll after Lock;Put;LockAll left rank 100 pending", sparse)
-		}
-		if now := g.env.p.Now(); now < 50_000 {
-			t.Errorf("sparse=%v: clock %d did not wait out the pending completion at 50000", sparse, now)
 		}
 	}
 }

@@ -22,16 +22,13 @@ type icollStep struct {
 
 // CollRequest is the handle of an in-flight nonblocking collective.
 type CollRequest struct {
-	env   *Env
-	steps []icollStep
-	cur   int
-	reqs  []*Request // outstanding requests of the current step
-	state int        // 0: before issue, 1: issued, 2: done
-	err   error
+	env    *Env
+	steps  []icollStep
+	cur    int
+	reqs   []*Request // outstanding requests of the current step
+	issued bool       // the current step's requests are in flight
+	err    error
 }
-
-// Done reports completion without making progress.
-func (r *CollRequest) Done() bool { return r.state == 2 && r.cur >= len(r.steps) }
 
 // Test advances the schedule without blocking and reports completion.
 func (r *CollRequest) Test() (bool, error) {
@@ -43,14 +40,14 @@ func (r *CollRequest) Test() (bool, error) {
 			return true, nil
 		}
 		step := &r.steps[r.cur]
-		if r.state == 0 {
+		if !r.issued {
 			reqs, err := step.issue()
 			if err != nil {
 				r.err = err
 				return true, err
 			}
 			r.reqs = reqs
-			r.state = 1
+			r.issued = true
 		}
 		// Test every outstanding request of the round.
 		for _, q := range r.reqs {
@@ -73,7 +70,7 @@ func (r *CollRequest) Test() (bool, error) {
 			}
 		}
 		r.cur++
-		r.state = 0
+		r.issued = false
 		r.reqs = nil
 	}
 }
@@ -122,36 +119,6 @@ func (r *CollRequest) kick() *CollRequest {
 	return r
 }
 
-// Ibarrier starts a nonblocking dissemination barrier.
-func (c *Comm) Ibarrier() (*CollRequest, error) {
-	r, err := c.buildIbarrier()
-	if err != nil {
-		return nil, err
-	}
-	return r.kick(), nil
-}
-
-func (c *Comm) buildIbarrier() (*CollRequest, error) {
-	c.env.checkLive()
-	n := c.Size()
-	base := c.icollTags()
-	r := &CollRequest{env: c.env}
-	for k, round := 1, 0; k < n; k, round = k<<1, round+1 {
-		dst := (c.myRank + k) % n
-		src := (c.myRank - k + n) % n
-		tag := base + round
-		r.steps = append(r.steps, icollStep{
-			issue: func() ([]*Request, error) {
-				return []*Request{
-					c.isendI(nil, dst, tag),
-					c.irecvI(nil, src, tag),
-				}, nil
-			},
-		})
-	}
-	return r, nil
-}
-
 // Ibcast starts a nonblocking binomial broadcast of buf from root.
 func (c *Comm) Ibcast(buf []byte, dt Datatype, root int) (*CollRequest, error) {
 	r, err := c.buildIbcast(buf, dt, root)
@@ -196,32 +163,22 @@ func (c *Comm) buildIbcast(buf []byte, dt Datatype, root int) (*CollRequest, err
 	return r, nil
 }
 
-// Ireduce starts a nonblocking binomial reduction into recvBuf at root.
-func (c *Comm) Ireduce(sendBuf, recvBuf []byte, dt Datatype, op Op, root int) (*CollRequest, error) {
-	r, err := c.buildIreduce(sendBuf, recvBuf, dt, op, root)
-	if err != nil {
-		return nil, err
-	}
-	return r.kick(), nil
-}
-
-func (c *Comm) buildIreduce(sendBuf, recvBuf []byte, dt Datatype, op Op, root int) (*CollRequest, error) {
+// buildIreduce composes a binomial reduction into recvBuf at rank 0; the
+// caller kicks it.
+func (c *Comm) buildIreduce(sendBuf, recvBuf []byte, dt Datatype, op Op) (*CollRequest, error) {
 	c.env.checkLive()
-	if err := c.checkRank(root, "Ireduce root"); err != nil {
-		return nil, err
-	}
 	if len(sendBuf)%dt.Size() != 0 {
-		return nil, fmt.Errorf("mpi: Ireduce buffer size %d not a multiple of %s size %d", len(sendBuf), dt, dt.Size())
+		return nil, fmt.Errorf("mpi: Iallreduce buffer size %d not a multiple of %s size %d", len(sendBuf), dt, dt.Size())
 	}
 	n := c.Size()
 	base := c.icollTags()
 	r := &CollRequest{env: c.env}
 	acc := append([]byte(nil), sendBuf...)
 	tmp := make([]byte, len(sendBuf))
-	vr := (c.myRank - root + n) % n
+	me := c.myRank
 	for mask := 1; mask < n; mask <<= 1 {
-		if vr&mask != 0 {
-			dst := (c.myRank - mask + n) % n
+		if me&mask != 0 {
+			dst := me - mask
 			r.steps = append(r.steps, icollStep{
 				issue: func() ([]*Request, error) {
 					return []*Request{c.isendI(acc, dst, base)}, nil
@@ -229,8 +186,7 @@ func (c *Comm) buildIreduce(sendBuf, recvBuf []byte, dt Datatype, op Op, root in
 			})
 			break
 		}
-		if vr+mask < n {
-			src := (c.myRank + mask) % n
+		if src := me + mask; src < n {
 			r.steps = append(r.steps, icollStep{
 				issue: func() ([]*Request, error) {
 					return []*Request{c.irecvI(tmp, src, base)}, nil
@@ -239,16 +195,10 @@ func (c *Comm) buildIreduce(sendBuf, recvBuf []byte, dt Datatype, op Op, root in
 			})
 		}
 	}
-	if c.myRank == root {
+	if me == 0 {
 		r.steps = append(r.steps, icollStep{
-			issue: func() ([]*Request, error) { return nil, nil },
-			finish: func() error {
-				if len(recvBuf) < len(acc) {
-					return fmt.Errorf("mpi: Ireduce recv buffer too small (%d < %d)", len(recvBuf), len(acc))
-				}
-				copy(recvBuf, acc)
-				return nil
-			},
+			issue:  func() ([]*Request, error) { return nil, nil },
+			finish: func() error { copy(recvBuf, acc); return nil },
 		})
 	}
 	return r, nil
@@ -260,7 +210,7 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, dt Datatype, op Op) (*CollReq
 	if len(recvBuf) < len(sendBuf) {
 		return nil, fmt.Errorf("mpi: Iallreduce recv buffer too small (%d < %d)", len(recvBuf), len(sendBuf))
 	}
-	red, err := c.buildIreduce(sendBuf, recvBuf, dt, op, 0)
+	red, err := c.buildIreduce(sendBuf, recvBuf, dt, op)
 	if err != nil {
 		return nil, err
 	}
@@ -270,32 +220,4 @@ func (c *Comm) Iallreduce(sendBuf, recvBuf []byte, dt Datatype, op Op) (*CollReq
 	}
 	red.steps = append(red.steps, bc.steps...)
 	return red.kick(), nil
-}
-
-// Ialltoall starts a nonblocking all-to-all of equal blocks: all sends and
-// receives are issued at once (the schedule has a single round).
-func (c *Comm) Ialltoall(sendBuf, recvBuf []byte, dt Datatype) (*CollRequest, error) {
-	c.env.checkLive()
-	n := c.Size()
-	if len(sendBuf)%n != 0 || len(recvBuf) < len(sendBuf) {
-		return nil, fmt.Errorf("mpi: Ialltoall buffer sizes invalid (%d send, %d recv, %d ranks)", len(sendBuf), len(recvBuf), n)
-	}
-	blk := len(sendBuf) / n
-	base := c.icollTags()
-	r := &CollRequest{env: c.env}
-	r.steps = append(r.steps, icollStep{
-		issue: func() ([]*Request, error) {
-			var reqs []*Request
-			copy(recvBuf[c.myRank*blk:(c.myRank+1)*blk], sendBuf[c.myRank*blk:])
-			for i := 1; i < n; i++ {
-				dst := (c.myRank + i) % n
-				src := (c.myRank - i + n) % n
-				reqs = append(reqs,
-					c.isendI(sendBuf[dst*blk:(dst+1)*blk], dst, base),
-					c.irecvI(recvBuf[src*blk:(src+1)*blk], src, base))
-			}
-			return reqs, nil
-		},
-	})
-	return r.kick(), nil
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"cafmpi/internal/fabric"
 	"cafmpi/internal/obs"
 )
 
@@ -17,8 +16,8 @@ type winShared struct {
 	atomMu []sync.Mutex
 }
 
-// Win is an MPI-3 window as seen by one image. RMA operations require an
-// access epoch (Lock/LockAll); CAF-MPI lock_alls every window at coarray
+// Win is an MPI-3 window as seen by one image. RMA operations require the
+// lock-all access epoch; CAF-MPI lock_alls every window at coarray
 // allocation and keeps the epoch open for the window's lifetime (§3.1).
 //
 // The embedded epoch carries the origin-side completion tracking whose
@@ -30,10 +29,7 @@ type Win struct {
 	size int
 
 	lockedAll bool
-	locked    fabric.PeerSet // targets of open single-target epochs
-
-	shared bool // created by WinAllocateShared
-	freed  bool
+	freed     bool
 }
 
 // WinAllocate collectively creates a window of size bytes on every rank of
@@ -60,7 +56,6 @@ func WinAllocate(c *Comm, size int) (*Win, error) {
 	ws.mu.Unlock()
 
 	w := &Win{sh: sh, size: size}
-	w.locked.Init(c.Size())
 	w.epInit(c.env, c)
 	c.env.p.Advance(c.env.costs().WinSetupNS * int64(c.Size()))
 	atomic.AddInt64(&c.env.footprint, int64(size))
@@ -121,39 +116,6 @@ func (w *Win) UnlockAll() error {
 	return nil
 }
 
-// Lock opens an access epoch to a single target.
-func (w *Win) Lock(target int) error {
-	if err := w.comm.checkRank(target, "lock"); err != nil {
-		return err
-	}
-	if w.locked.Has(target) || w.lockedAll {
-		return fmt.Errorf("mpi: Lock(%d) inside an existing epoch", target)
-	}
-	w.locked.Add(target)
-	t0 := w.env.p.Now()
-	w.env.p.Advance(w.env.net.Params().LatencyNS) // lock request one-way; grant piggybacked
-	if sh := w.env.sh; sh != nil {
-		sh.Record(obs.LayerMPI, obs.OpLockAll, w.comm.ranks[target], 0, 1, t0, w.env.p.Now())
-		sh.Add(obs.CtrLockAllCalls, 1)
-	}
-	return nil
-}
-
-// Unlock flushes and closes the single-target epoch.
-func (w *Win) Unlock(target int) error {
-	if err := w.comm.checkRank(target, "unlock"); err != nil {
-		return err
-	}
-	if !w.locked.Has(target) {
-		return fmt.Errorf("mpi: Unlock(%d) without Lock", target)
-	}
-	if err := w.Flush(target); err != nil {
-		return err
-	}
-	w.locked.Remove(target)
-	return nil
-}
-
 func (w *Win) checkAccess(target int, what string) error {
 	if w.freed {
 		return fmt.Errorf("mpi: %s on freed window", what)
@@ -161,13 +123,13 @@ func (w *Win) checkAccess(target int, what string) error {
 	if err := w.comm.checkRank(target, what); err != nil {
 		return err
 	}
-	if !w.lockedAll && !w.locked.Has(target) {
+	if !w.lockedAll {
 		// MPI-3 RMA usage violation: surfaced to the sanitizer (so a
 		// -sanitize run reports it alongside data races) and still returned
 		// as the hard error it always was.
-		w.env.san.RMAViolation(fmt.Sprintf("image %d: %s to window target %d outside an access epoch (no Lock/LockAll)",
+		w.env.san.RMAViolation(fmt.Sprintf("image %d: %s to window target %d outside an access epoch (no LockAll)",
 			w.env.p.ID(), what, target))
-		return fmt.Errorf("mpi: %s to target %d outside an access epoch (call Lock or LockAll first)", what, target)
+		return fmt.Errorf("mpi: %s to target %d outside an access epoch (call LockAll first)", what, target)
 	}
 	return nil
 }
@@ -232,7 +194,7 @@ func (w *Win) Rput(buf []byte, target, disp int) (*Request, error) {
 	if err := w.Put(buf, target, disp); err != nil {
 		return nil, err
 	}
-	r := newRequest(w.env, reqRMA, nil)
+	r := newRequest(w.env, nil)
 	r.completeT = w.env.p.Now()
 	r.done.Store(true)
 	return r, nil
@@ -262,7 +224,7 @@ func (w *Win) Rget(buf []byte, target, disp int) (*Request, error) {
 		sh.Add(obs.CtrRDMABytes, int64(len(buf)))
 		sh.CommAdd(worldDst, int64(len(buf)))
 	}
-	r := newRequest(w.env, reqRMA, nil)
+	r := newRequest(w.env, nil)
 	r.completeT = done
 	r.done.Store(true)
 	return r, nil
@@ -388,24 +350,6 @@ func (w *Win) Flush(target int) error {
 	return nil
 }
 
-// FlushLocal ensures local completion only (MPI_WIN_FLUSH_LOCAL); origin
-// buffers of puts are immediately reusable in this implementation, so the
-// charge is the bookkeeping scan.
-func (w *Win) FlushLocal(target int) error {
-	if err := w.checkAccess(target, "FlushLocal"); err != nil {
-		return err
-	}
-	t0 := w.env.p.Now()
-	w.env.p.Advance(w.env.costs().FlushScanNS)
-	if sh := w.env.sh; sh != nil {
-		sh.Record(obs.LayerMPI, obs.OpFlush, w.comm.ranks[target], 0, 0, t0, w.env.p.Now())
-		sh.Add(obs.CtrFlushCalls, 1)
-	}
-	// Local completion defines get destinations (MPI-3 §11.5.4).
-	w.env.san.FenceLocal()
-	return nil
-}
-
 // FlushAll completes outstanding operations to every target. MPICH
 // derivatives (MVAPICH, Cray MPI) implement this as a flush of each rank in
 // the window's group, so the cost grows linearly with the communicator size
@@ -415,30 +359,11 @@ func (w *Win) FlushAll() error {
 	if w.freed {
 		return fmt.Errorf("mpi: FlushAll on freed window")
 	}
-	if !w.lockedAll && w.locked.Len() < w.comm.Size() {
+	if !w.lockedAll {
 		return fmt.Errorf("mpi: FlushAll outside a lock-all epoch")
 	}
 	w.flushAllEpoch()
 	return nil
-}
-
-// Rflush is the MPI_WIN_RFLUSH extension the paper proposes in §5: it
-// starts a flush to target and returns a request, letting the caller
-// overlap the completion latency instead of blocking. Waiting on the
-// request establishes remote completion of all prior operations to target.
-func (w *Win) Rflush(target int) (*Request, error) {
-	if err := w.checkAccess(target, "Rflush"); err != nil {
-		return nil, err
-	}
-	done := w.env.p.Now()
-	if stamp, ok := w.takePending(target); ok {
-		done = max(done+w.env.net.Params().LatencyNS, stamp+w.env.costs().FlushNS)
-	}
-	w.env.sh.Add(obs.CtrFlushCalls, 1)
-	r := newRequest(w.env, reqRMA, nil)
-	r.completeT = done
-	r.done.Store(true)
-	return r, nil
 }
 
 // RflushAll starts a flush to every target and returns one request that
@@ -453,53 +378,8 @@ func (w *Win) RflushAll() (*Request, error) {
 	// (it hands back a handle instead of scanning the communicator), which
 	// is precisely the scalability fix the paper argues for in §5.
 	done := w.rflushAllEpoch()
-	r := newRequest(w.env, reqRMA, nil)
+	r := newRequest(w.env, nil)
 	r.completeT = done
 	r.done.Store(true)
 	return r, nil
-}
-
-// SplitShared partitions the communicator into per-node groups, like
-// MPI_COMM_SPLIT_TYPE with MPI_COMM_TYPE_SHARED.
-func (c *Comm) SplitShared() (*Comm, error) {
-	pr := c.env.net.Params()
-	node := 0
-	if pr.CoresPerNode > 0 {
-		node = c.env.p.ID() / pr.CoresPerNode
-	}
-	return c.Split(node, c.myRank)
-}
-
-// WinAllocateShared collectively creates a window whose memory is directly
-// load/store accessible by every rank of the communicator
-// (MPI_WIN_ALLOCATE_SHARED, §2.2). All ranks must reside on one node;
-// SharedQuery exposes each rank's portion for direct access.
-func WinAllocateShared(c *Comm, size int) (*Win, error) {
-	pr := c.env.net.Params()
-	first := c.ranks[0]
-	for _, wr := range c.ranks {
-		if !pr.SameNode(first, wr) {
-			return nil, fmt.Errorf("mpi: WinAllocateShared requires all ranks on one node (ranks %d and %d differ)", first, wr)
-		}
-	}
-	w, err := WinAllocate(c, size)
-	if err != nil {
-		return nil, err
-	}
-	w.shared = true
-	return w, nil
-}
-
-// SharedQuery returns rank's window memory for direct load/store access
-// (MPI_WIN_SHARED_QUERY). Only valid on shared windows; the caller is
-// responsible for synchronizing concurrent access (e.g. with Win.Fence
-// semantics via Barrier, or atomics).
-func (w *Win) SharedQuery(rank int) ([]byte, error) {
-	if !w.shared {
-		return nil, fmt.Errorf("mpi: SharedQuery on a non-shared window")
-	}
-	if err := w.comm.checkRank(rank, "SharedQuery"); err != nil {
-		return nil, err
-	}
-	return w.sh.bases[rank], nil
 }
