@@ -90,63 +90,102 @@ func Run(im *caf.Image, cfg Config) (Result, error) {
 	defer evs.Free()
 	const evFromAbove, evFromBelow = 0, 1
 
-	// Problem setup: A = 2-D 5-point Laplacian (Dirichlet), b = A·u_exact.
-	uExact := func(gi, gj int) float64 {
-		return math.Sin(math.Pi*float64(gi+1)/float64(cfg.NY+1)) *
-			math.Cos(2*math.Pi*float64(gj)/float64(nx)) // gi: global row
+	// Problem setup: A = 2-D 5-point Laplacian (Dirichlet), b = A·u_exact,
+	// u_exact(gi, gj) = sin(row term of gi) * cos(column term of gj). The
+	// factors are tabulated once: sinRow[k] is global row me*rows-1+k.
+	sinRow := make([]float64, rows+2)
+	for k := range sinRow {
+		gi := me*rows - 1 + k
+		sinRow[k] = math.Sin(math.Pi * float64(gi+1) / float64(cfg.NY+1))
+	}
+	cosCol := make([]float64, nx)
+	for gj := range cosCol {
+		cosCol[gj] = math.Cos(2 * math.Pi * float64(gj) / float64(nx))
 	}
 	b := make([]float64, rows*nx)
 	for i := 0; i < rows; i++ {
 		gi := me*rows + i
+		s, sUp, sDn := sinRow[i+1], sinRow[i], sinRow[i+2]
 		for j := 0; j < nx; j++ {
-			c := 4*uExact(gi, j) - uExact(gi, (j+1)%nx) - uExact(gi, (j-1+nx)%nx)
+			jr, jl := j+1, j-1
+			if jr == nx {
+				jr = 0
+			}
+			if jl < 0 {
+				jl = nx - 1
+			}
+			c := 4*(s*cosCol[j]) - s*cosCol[jr] - s*cosCol[jl]
 			if gi+1 < cfg.NY {
-				c -= uExact(gi+1, j)
+				c -= sDn * cosCol[j]
 			}
 			if gi-1 >= 0 {
-				c -= uExact(gi-1, j)
+				c -= sUp * cosCol[j]
 			}
 			b[i*nx+j] = c
 		}
 	}
 
-	x := make([]float64, rows*nx)
-	w := make([]float64, rows*nx)  // w = A r
-	pv := make([]float64, rows*nx) // direction
-	q := make([]float64, rows*nx)  // A p
+	n := rows * nx
+	x := make([]float64, n)
+	w := make([]float64, n)  // w = A r
+	pv := make([]float64, n) // direction
+	q := make([]float64, n)  // A p
+	ri := r[nx : nx+n]       // interior rows of r
 
 	halo := &haloExchanger{im: im, co: rCo, evs: evs, nx: nx, rows: rows, pull: cfg.Pull}
 
-	// applyA computes w = A·r for the interior rows, using the halo.
-	applyA := func(dst []float64) error {
+	// applyA computes w = A·r for the interior rows, using the halo, and in
+	// the same sweep the next iteration's partial sums (r·r, r·w, |r|),
+	// accumulated in ascending element order. The periodic column wrap is
+	// peeled out of the row loop.
+	var sums [3]float64
+	applyA := func() error {
 		if err := halo.exchange(); err != nil {
 			return err
 		}
+		var s0, s1, s2 float64
 		for i := 0; i < rows; i++ {
-			ri := r[(i+1)*nx : (i+2)*nx]
 			up := r[i*nx : (i+1)*nx]
+			mid := r[(i+1)*nx : (i+2)*nx]
 			dn := r[(i+2)*nx : (i+3)*nx]
-			for j := 0; j < nx; j++ {
-				dst[i*nx+j] = 4*ri[j] - ri[(j+1)%nx] - ri[(j-1+nx)%nx] - up[j] - dn[j]
+			dst := w[i*nx : (i+1)*nx]
+			up, dn, dst = up[:len(mid)], dn[:len(mid)], dst[:len(mid)]
+			last := len(mid) - 1
+
+			v := 4*mid[0] - mid[1] - mid[last] - up[0] - dn[0]
+			dst[0] = v
+			s0 += mid[0] * mid[0]
+			s1 += mid[0] * v
+			s2 += math.Abs(mid[0])
+			for j := 1; j < last; j++ {
+				v = 4*mid[j] - mid[j+1] - mid[j-1] - up[j] - dn[j]
+				dst[j] = v
+				s0 += mid[j] * mid[j]
+				s1 += mid[j] * v
+				s2 += math.Abs(mid[j])
 			}
+			v = 4*mid[last] - mid[0] - mid[last-1] - up[last] - dn[last]
+			dst[last] = v
+			s0 += mid[last] * mid[last]
+			s1 += mid[last] * v
+			s2 += math.Abs(mid[last])
 		}
-		im.Compute(int64(rows*nx) * 6)
+		sums = [3]float64{s0, s1, s2}
+		im.Compute(int64(n) * 6)
 		return nil
 	}
 	// globalSum3 is CGPOP's GlobalSum: a 3-word vector MPI reduction.
+	sumOut := make([]float64, 3)
 	globalSum3 := func(v *[3]float64) error {
-		out := make([]float64, 3)
-		if err := comm.Allreduce(mpi.F64Bytes(v[:]), mpi.F64Bytes(out), mpi.Float64, mpi.OpSum); err != nil {
+		if err := comm.Allreduce(mpi.F64Bytes(v[:]), mpi.F64Bytes(sumOut), mpi.Float64, mpi.OpSum); err != nil {
 			return err
 		}
-		copy(v[:], out)
+		copy(v[:], sumOut)
 		return nil
 	}
 
 	// r = b (x0 = 0), stored into the coarray interior.
-	for i := 0; i < rows*nx; i++ {
-		r[nx+i] = b[i]
-	}
+	copy(ri, b)
 
 	if err := im.World().Barrier(); err != nil {
 		return Result{}, err
@@ -154,45 +193,44 @@ func Run(im *caf.Image, cfg Config) (Result, error) {
 	t0 := im.Now()
 
 	// Chronopoulos-Gear CG: one fused reduction per iteration computing
-	// (gamma = r·r, delta = r·w, norm tracking word).
-	if err := applyA(w); err != nil {
+	// (gamma = r·r, delta = r·w, norm tracking word). The host sweeps are
+	// fused; the Compute charges keep their values and their order
+	// relative to communication.
+	if err := applyA(); err != nil {
 		return Result{}, err
 	}
 	var gammaOld, alpha, beta float64
 	for it := 0; it < cfg.Iters; it++ {
-		sums := [3]float64{0, 0, 0}
-		for i := 0; i < rows*nx; i++ {
-			ri := r[nx+i]
-			sums[0] += ri * ri
-			sums[1] += ri * w[i]
-			sums[2] += math.Abs(ri)
-		}
-		im.Compute(int64(rows*nx) * 5)
+		im.Compute(int64(n) * 5) // the partial sums, formed in applyA
 		if err := globalSum3(&sums); err != nil {
 			return Result{}, err
 		}
 		gamma, delta := sums[0], sums[1]
+		// Resliced to len(ri) so the compiler drops the bounds checks.
+		x, pv, q, w := x[:len(ri)], pv[:len(ri)], q[:len(ri)], w[:len(ri)]
 		if it == 0 {
 			res.InitialNorm = math.Sqrt(gamma)
 			alpha = gamma / delta
-			copy(pv, r[nx:nx+rows*nx])
-			copy(q, w)
+			for i := range ri {
+				pv[i] = ri[i]
+				q[i] = w[i]
+				x[i] += alpha * pv[i]
+				ri[i] -= alpha * q[i]
+			}
 		} else {
 			beta = gamma / gammaOld
 			alpha = gamma / (delta - beta*gamma/alpha)
-			for i := 0; i < rows*nx; i++ {
-				pv[i] = r[nx+i] + beta*pv[i]
+			for i := range ri {
+				pv[i] = ri[i] + beta*pv[i]
 				q[i] = w[i] + beta*q[i]
+				x[i] += alpha * pv[i]
+				ri[i] -= alpha * q[i]
 			}
-			im.Compute(int64(rows*nx) * 4)
+			im.Compute(int64(n) * 4) // direction update
 		}
 		gammaOld = gamma
-		for i := 0; i < rows*nx; i++ {
-			x[i] += alpha * pv[i]
-			r[nx+i] -= alpha * q[i]
-		}
-		im.Compute(int64(rows*nx) * 4)
-		if err := applyA(w); err != nil {
+		im.Compute(int64(n) * 4) // x, r update
+		if err := applyA(); err != nil {
 			return Result{}, err
 		}
 	}
@@ -203,8 +241,8 @@ func Run(im *caf.Image, cfg Config) (Result, error) {
 	res.Seconds = im.Now() - t0
 
 	final := [3]float64{}
-	for i := 0; i < rows*nx; i++ {
-		final[0] += r[nx+i] * r[nx+i]
+	for _, v := range ri {
+		final[0] += v * v
 	}
 	if err := globalSum3(&final); err != nil {
 		return Result{}, err

@@ -54,11 +54,123 @@ func TestCGConvergesPull(t *testing.T) {
 }
 
 func TestPushPullSameNumerics(t *testing.T) {
-	// The exchange style must not change the arithmetic.
+	// The exchange style must not change the arithmetic, not even in the
+	// last bit.
 	push := run(t, caf.MPI, 4, Config{NX: 12, NY: 24, Iters: 25})
 	pull := run(t, caf.MPI, 4, Config{NX: 12, NY: 24, Iters: 25, Pull: true})
-	if math.Abs(push.FinalNorm-pull.FinalNorm) > 1e-12*math.Max(1, push.FinalNorm) {
-		t.Errorf("push residual %g != pull residual %g", push.FinalNorm, pull.FinalNorm)
+	if push.InitialNorm != pull.InitialNorm || push.FinalNorm != pull.FinalNorm {
+		t.Errorf("push norms %x/%x != pull norms %x/%x",
+			math.Float64bits(push.InitialNorm), math.Float64bits(push.FinalNorm),
+			math.Float64bits(pull.InitialNorm), math.Float64bits(pull.FinalNorm))
+	}
+}
+
+// TestNormsBitExact pins the solver's norms bit for bit, on both
+// substrates and both halo styles: the host loops may be restructured, the
+// floating-point results may not change.
+func TestNormsBitExact(t *testing.T) {
+	want := map[int][2]uint64{
+		1: {0x3ffda68db1e10bff, 0x3c31a7a76b443694},
+		4: {0x3ffda68db1e10bfe, 0x3c2dea322d1c7bed},
+	}
+	for _, np := range []int{1, 4} {
+		for _, sub := range []caf.Substrate{caf.MPI, caf.GASNet} {
+			for _, pull := range []bool{false, true} {
+				res := run(t, sub, np, Config{NX: 16, NY: 32, Iters: 60, Pull: pull})
+				got := [2]uint64{math.Float64bits(res.InitialNorm), math.Float64bits(res.FinalNorm)}
+				if got != want[np] {
+					t.Errorf("np=%d %s pull=%v: norms %#x, want %#x", np, sub, pull, got, want[np])
+				}
+			}
+		}
+	}
+}
+
+// referenceCG is the single-image solver written the plain way: u_exact
+// evaluated per point, the column wrap by modulo, and the partial sums,
+// the direction update and the x/r update as separate sweeps.
+func referenceCG(nx, ny, iters int) (initial, final float64) {
+	uExact := func(gi, gj int) float64 {
+		return math.Sin(math.Pi*float64(gi+1)/float64(ny+1)) *
+			math.Cos(2*math.Pi*float64(gj)/float64(nx))
+	}
+	n := ny * nx
+	r := make([]float64, (ny+2)*nx) // zero halo rows: Dirichlet boundary
+	for gi := 0; gi < ny; gi++ {
+		for j := 0; j < nx; j++ {
+			c := 4*uExact(gi, j) - uExact(gi, (j+1)%nx) - uExact(gi, (j-1+nx)%nx)
+			if gi+1 < ny {
+				c -= uExact(gi+1, j)
+			}
+			if gi-1 >= 0 {
+				c -= uExact(gi-1, j)
+			}
+			r[nx+gi*nx+j] = c
+		}
+	}
+	x := make([]float64, n)
+	w := make([]float64, n)
+	pv := make([]float64, n)
+	q := make([]float64, n)
+	applyA := func() {
+		for i := 0; i < ny; i++ {
+			ri := r[(i+1)*nx : (i+2)*nx]
+			up := r[i*nx : (i+1)*nx]
+			dn := r[(i+2)*nx : (i+3)*nx]
+			for j := 0; j < nx; j++ {
+				w[i*nx+j] = 4*ri[j] - ri[(j+1)%nx] - ri[(j-1+nx)%nx] - up[j] - dn[j]
+			}
+		}
+	}
+	applyA()
+	var gammaOld, alpha, beta float64
+	for it := 0; it < iters; it++ {
+		sums := [3]float64{}
+		for i := 0; i < n; i++ {
+			ri := r[nx+i]
+			sums[0] += ri * ri
+			sums[1] += ri * w[i]
+			sums[2] += math.Abs(ri)
+		}
+		gamma, delta := sums[0], sums[1]
+		if it == 0 {
+			initial = math.Sqrt(gamma)
+			alpha = gamma / delta
+			copy(pv, r[nx:nx+n])
+			copy(q, w)
+		} else {
+			beta = gamma / gammaOld
+			alpha = gamma / (delta - beta*gamma/alpha)
+			for i := 0; i < n; i++ {
+				pv[i] = r[nx+i] + beta*pv[i]
+				q[i] = w[i] + beta*q[i]
+			}
+		}
+		gammaOld = gamma
+		for i := 0; i < n; i++ {
+			x[i] += alpha * pv[i]
+			r[nx+i] -= alpha * q[i]
+		}
+		applyA()
+	}
+	var rr float64
+	for i := 0; i < n; i++ {
+		rr += r[nx+i] * r[nx+i]
+	}
+	return initial, math.Sqrt(rr)
+}
+
+func TestSingleImageMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{
+		{NX: 16, NY: 32, Iters: 60},
+		{NX: 3, NY: 5, Iters: 7},
+		{NX: 17, NY: 9, Iters: 30, Pull: true},
+	} {
+		res := run(t, caf.MPI, 1, cfg)
+		init, final := referenceCG(cfg.NX, cfg.NY, cfg.Iters)
+		if res.InitialNorm != init || res.FinalNorm != final {
+			t.Errorf("%+v: norms %g/%g, reference %g/%g", cfg, res.InitialNorm, res.FinalNorm, init, final)
+		}
 	}
 }
 

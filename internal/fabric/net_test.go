@@ -83,6 +83,9 @@ func (r *tstReq) CompleteAt(t int64) { r.at.Store(t) }
 func TestRendezvousArrivalDependsOnReceiver(t *testing.T) {
 	w := sim.NewWorld(2)
 	const lateRecv = int64(50_000)
+	// The receiver must not absorb the message (and complete the request)
+	// before the sender has checked that injection alone did not.
+	checked := make(chan struct{})
 	err := w.Run(func(p *sim.Proc) error {
 		net := AttachNet(p.World(), testParams())
 		l := net.Layer("t")
@@ -94,9 +97,11 @@ func TestRendezvousArrivalDependsOnReceiver(t *testing.T) {
 			if got := req.at.Load(); got != -1 {
 				t.Errorf("rendezvous send completed locally at injection (at=%d)", got)
 			}
+			close(checked)
 			return nil
 		}
 		p.Advance(lateRecv) // receiver arrives late: transfer starts then
+		<-checked
 		m := l.Endpoint(1).Recv(func(*Message) bool { return true })
 		l.Absorb(p, m, 0)
 		// start = max(recv clock, RTS arrival) = 50_000;

@@ -122,7 +122,8 @@ func fftRoots(n int) []complex128 {
 	w := make([]complex128, n/2)
 	for k := range w {
 		ang := -2 * math.Pi * float64(k) / float64(n)
-		w[k] = cmplx.Exp(complex(0, ang))
+		s, c := math.Sincos(ang) // == cmplx.Exp(complex(0, ang)), bit for bit
+		w[k] = complex(c, s)
 	}
 	return w
 }
@@ -175,7 +176,8 @@ func (f *fftEngine) run(x []complex128, _ bool) ([]complex128, error) {
 		j1 := base + r
 		for k2 := 0; k2 < n2; k2++ {
 			ang := -2 * math.Pi * float64(j1) * float64(k2) / float64(m)
-			a[r*n2+k2] *= cmplx.Exp(complex(0, ang))
+			s, c := math.Sincos(ang)
+			a[r*n2+k2] *= complex(c, s)
 		}
 	}
 	im.Compute(int64(rows) * int64(n2) * 8)

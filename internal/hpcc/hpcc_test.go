@@ -130,6 +130,19 @@ func TestFFTRowAgainstDirectDFT(t *testing.T) {
 	}
 }
 
+func TestTwiddlesMatchComplexExp(t *testing.T) {
+	// The twiddles use math.Sincos directly; they must equal e^{iθ} as
+	// cmplx.Exp forms it, bit for bit.
+	const n = 1 << 12
+	w := fftRoots(n)
+	for k := range w {
+		want := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n)))
+		if w[k] != want {
+			t.Fatalf("fftRoots(%d)[%d] = %v, want %v", n, k, w[k], want)
+		}
+	}
+}
+
 func TestFFTRowLinearityProperty(t *testing.T) {
 	f := func(seed uint8) bool {
 		const n = 64
