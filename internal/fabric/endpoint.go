@@ -9,6 +9,7 @@ import (
 
 	"cafmpi/internal/faults"
 	"cafmpi/internal/obs"
+	"cafmpi/internal/sim"
 )
 
 // The receive path. Arriving messages are appended to one intrusive list per
@@ -317,7 +318,7 @@ func (e *Endpoint) waitLocked() {
 // WaitActivity blocks until the endpoint's activity counter passes since.
 // It returns the new counter value. The waiter is woken for every arrival,
 // poke and WakeAll. Callers must sample Seq before checking the condition
-// they sleep on.
+// they sleep on; image waits go through Block, which does.
 func (e *Endpoint) WaitActivity(since uint64) uint64 {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -325,6 +326,43 @@ func (e *Endpoint) WaitActivity(since uint64) uint64 {
 		e.waitLocked()
 	}
 	return e.seq.Load()
+}
+
+// Block is the one loop an image blocks in (DESIGN §4, "Blocking waits"),
+// the blocking network poll CAF-MPI's event_wait is built on (§3.4). Each
+// round it
+//
+//  1. samples the activity counter;
+//  2. runs pass, which makes progress, tests the caller's condition and, when
+//     not done, reports the earliest eligible arrival it saw (ok false if
+//     none);
+//  3. returns nil once pass reports done;
+//  4. returns the world's failure latch as an error stamped with op;
+//  5. advances p's clock to earliest and runs pass again, or else parks until
+//     the counter passes the sample.
+//
+// Sampling before pass means an arrival or Poke that lands while pass runs
+// cannot be lost: the park returns at once. Testing the condition before the
+// latch lets a wait whose condition already holds finish, so final clocks do
+// not depend on when a crash or cancellation is observed.
+//
+//caflint:allow obsedge -- a wait records through its caller's pass (progress, absorb); it adds no op of its own
+func (e *Endpoint) Block(p *sim.Proc, op string, pass func() (done bool, earliest int64, ok bool)) error {
+	for {
+		seq := e.seq.Load()
+		done, earliest, ok := pass()
+		if done {
+			return nil
+		}
+		if err := e.layer.net.flt.ErrOp(op); err != nil {
+			return err
+		}
+		if ok {
+			p.AdvanceTo(earliest)
+			continue
+		}
+		e.WaitActivity(seq)
+	}
 }
 
 // WakeAll bumps the activity counter and wakes every parked waiter. The

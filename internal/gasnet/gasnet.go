@@ -21,7 +21,6 @@ import (
 	"sync"
 
 	"cafmpi/internal/fabric"
-	"cafmpi/internal/faults"
 	"cafmpi/internal/obs"
 	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sanitizer"
@@ -112,7 +111,6 @@ type Ep struct {
 	// Attach so AM and RDMA hot paths pay a nil check only.
 	osh *obs.Shard
 	san *sanitizer.Image // nil when sanitizing is off (methods are nil-safe)
-	flt *faults.State    // world failure latch, nil-safe when faults are off
 	wp  *wallprof.Rec    // wall-clock recorder, nil when wallprof is off
 }
 
@@ -147,7 +145,6 @@ func Attach(p *sim.Proc, net *fabric.Net, segSize int, handlers ...HandlerEntry)
 	e.fep = e.layer.Endpoint(p.ID())
 	e.osh = obs.For(p)
 	e.san = sanitizer.For(p)
-	e.flt = faults.Enabled(p.World())
 	e.wp = wallprof.For(p)
 	e.amSpec = fabric.MatchSpec{Classes: fabric.Classes(clsAMRequest, clsAMReply), Src: fabric.AnySrc}
 	e.brSpec = fabric.MatchSpec{Classes: fabric.Classes(clsAMRequest, clsAMReply, clsBarrier), Src: fabric.AnySrc, Filter: e.barrierFilter}
@@ -388,21 +385,14 @@ func (e *Ep) dispatch(m *fabric.Message) {
 // early with a typed error when the world's failure latch trips, so waits
 // on a crashed peer unblock instead of deadlocking.
 func (e *Ep) PollUntil(cond func() bool) error {
-	for {
-		seq := e.fep.Seq()
+	return e.fep.Block(e.p, "poll_until", func() (bool, int64, bool) {
 		e.Poll()
 		if cond() {
-			return nil
+			return true, 0, false
 		}
-		if err := e.flt.ErrOp("poll_until"); err != nil {
-			return err
-		}
-		if st := e.fep.PollStateFor(&e.amSpec); st.HasEarliest {
-			e.p.AdvanceTo(st.Earliest)
-			continue
-		}
-		e.fep.WaitActivity(seq)
-	}
+		st := e.fep.PollStateFor(&e.amSpec)
+		return false, st.Earliest, st.HasEarliest
+	})
 }
 
 // seg returns image dst's segment (after Attach's barrier this is stable).
@@ -572,22 +562,14 @@ func (e *Ep) BarrierNotify() error {
 // matching arrival when only future ones are queued. It unblocks with a
 // typed error when the failure latch trips.
 func (e *Ep) blockingRecv(spec *fabric.MatchSpec) (*fabric.Message, error) {
-	for {
-		seq := e.fep.Seq()
+	var m *fabric.Message
+	err := e.fep.Block(e.p, "recv", func() (bool, int64, bool) {
 		spec.Before = e.p.Now()
-		m, st := e.fep.TryRecvSpec(spec)
-		if m != nil {
-			return m, nil
-		}
-		if err := e.flt.ErrOp("recv"); err != nil {
-			return nil, err
-		}
-		if st.HasEarliest {
-			e.p.AdvanceTo(st.Earliest)
-			continue
-		}
-		e.fep.WaitActivity(seq)
-	}
+		var st fabric.PollState
+		m, st = e.fep.TryRecvSpec(spec)
+		return m != nil, st.Earliest, st.HasEarliest
+	})
+	return m, err
 }
 
 // BarrierWait completes the split-phase barrier. The dissemination work is

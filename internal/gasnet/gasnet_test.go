@@ -157,9 +157,8 @@ func TestNoProgressWithoutPoll(t *testing.T) {
 			return err
 		}
 		// Wait until the message is definitely queued, without polling AMs.
-		seq := e.fep.Seq()
-		for e.fep.QueueLen() == 0 {
-			seq = e.fep.WaitActivity(seq)
+		if err := e.fep.Block(p, "recv", func() (bool, int64, bool) { return e.fep.QueueLen() > 0, 0, false }); err != nil {
+			return err
 		}
 		if ran.Load() {
 			return fmt.Errorf("handler ran without a poll: GASNet progress must be explicit")
@@ -492,9 +491,8 @@ func TestHandlerPanicSurfacesAsImagePanic(t *testing.T) {
 		if p.ID() == 0 {
 			return e.AMRequestShort(1, h)
 		}
-		seq := e.fep.Seq()
-		for e.fep.QueueLen() == 0 {
-			seq = e.fep.WaitActivity(seq)
+		if err := e.fep.Block(p, "recv", func() (bool, int64, bool) { return e.fep.QueueLen() > 0, 0, false }); err != nil {
+			return err
 		}
 		for e.Poll() == 0 { // poll until the AM's virtual arrival passes
 		}

@@ -77,22 +77,21 @@ func (r *CollRequest) Test() (bool, error) {
 
 // Wait blocks until the collective completes, driving MPI progress.
 func (r *CollRequest) Wait() error {
-	for {
-		done, err := r.Test()
-		if done {
-			return err
+	e := r.env
+	var err error
+	if berr := e.ep.Block(e.p, "icoll_wait", func() (bool, int64, bool) {
+		var done bool
+		if done, err = r.Test(); done {
+			return true, 0, false
 		}
-		if err := r.env.flt.ErrOp("icoll_wait"); err != nil {
-			return err
-		}
-		// Block until something changes: either new arrivals or a queued
-		// virtual-future arrival we can advance to.
-		seq := r.env.ep.Seq()
-		if r.env.advanceToPending() {
-			continue
-		}
-		r.env.ep.WaitActivity(seq)
+		e.mu.Lock()
+		st := e.ep.PollStateFor(&e.progSpec)
+		e.mu.Unlock()
+		return false, st.Earliest, st.HasEarliest
+	}); berr != nil {
+		return berr
 	}
+	return err
 }
 
 // icollTags reserves a tag window for one nonblocking collective.

@@ -21,7 +21,6 @@ import (
 	"sync/atomic"
 
 	"cafmpi/internal/fabric"
-	"cafmpi/internal/faults"
 	"cafmpi/internal/obs"
 	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sanitizer"
@@ -123,11 +122,6 @@ type Env struct {
 	// (methods nil-safe); cached at Init like sh.
 	wp *wallprof.Rec
 
-	// flt is the world failure latch (nil-safe when faults are off); every
-	// blocking loop consults it so waits on a crashed peer return a typed
-	// error instead of hanging.
-	flt *faults.State
-
 	// On-demand connection model (scalable-sync mode): instead of
 	// preallocating per-peer eager pools and connection state for the whole
 	// world at Init, each peer's share (perPeerBytes) is charged to the
@@ -166,7 +160,6 @@ func Init(p *sim.Proc, net *fabric.Net) *Env {
 	env.sh = obs.For(p)
 	env.san = sanitizer.For(p)
 	env.wp = wallprof.For(p)
-	env.flt = faults.Enabled(p.World())
 	env.progSpec = fabric.MatchSpec{Classes: fabric.Classes(clsP2P), Src: fabric.AnySrc, Filter: env.postedFilter}
 
 	env.world = newComm(env, ws.world, p.ID(), 0)
@@ -340,14 +333,6 @@ func (c *Comm) commRankOfWorld(world int) int {
 	return int(c.worldToRank[world])
 }
 
-// EarliestMessage returns the smallest virtual arrival stamp among queued
-// point-to-point messages addressed to this communicator (any source, any
-// tag), for blocking pollers that must advance virtual time.
-func (c *Comm) EarliestMessage() (int64, bool) {
-	st := c.env.ep.PollStateFor(&c.ctxSpec)
-	return st.Earliest, st.HasEarliest
-}
-
 func (c *Comm) checkRank(r int, what string) error {
 	if r < 0 || r >= len(c.ranks) {
 		return fmt.Errorf("mpi: %s rank %d out of range [0,%d)", what, r, len(c.ranks))
@@ -355,13 +340,21 @@ func (c *Comm) checkRank(r int, what string) error {
 	return nil
 }
 
-// ActivitySeq returns a counter that increases with every message arrival
-// or completion event on this image's endpoint. Blocking pollers sample it
-// before making progress and pass it to WaitActivity.
-func (e *Env) ActivitySeq() uint64 { return e.ep.Seq() }
-
-// WaitActivity blocks until the activity counter passes since, then returns
-// the new value. It is the blocking network poll that CAF-MPI's event_wait
-// is built on (§3.4): the wait parks on the endpoint, so arrivals of any
-// kind wake it.
-func (e *Env) WaitActivity(since uint64) uint64 { return e.ep.WaitActivity(since) }
+// Block parks this image on its MPI endpoint until pass returns true
+// (fabric.Endpoint.Block under op's name): the blocking network poll that
+// CAF-MPI's event_wait is built on (§3.4). Between passes the clock advances
+// to the earliest message queued for comm, scanned after pass so that an
+// arrival during pass is seen before the next charged pass; with a nil comm
+// the image parks until endpoint activity instead.
+func (e *Env) Block(op string, comm *Comm, pass func() bool) error {
+	return e.ep.Block(e.p, op, func() (bool, int64, bool) {
+		if pass() {
+			return true, 0, false
+		}
+		if comm == nil {
+			return false, 0, false
+		}
+		st := e.ep.PollStateFor(&comm.ctxSpec)
+		return false, st.Earliest, st.HasEarliest
+	})
+}

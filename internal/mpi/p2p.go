@@ -108,22 +108,20 @@ func (r *Request) Test() (bool, Status, error) {
 // any blocking call).
 func (r *Request) Wait() (Status, error) {
 	e := r.env
-	for {
-		seq := e.ep.Seq()
+	var st Status
+	var err error
+	if berr := e.ep.Block(e.p, "wait", func() (bool, int64, bool) {
 		_, ps := e.progressPoll()
-		if done, t, st, err := r.snapshot(); done {
+		done, t, s, rerr := r.snapshot()
+		if done {
 			e.p.AdvanceTo(t)
-			return st, err
+			st, err = s, rerr
 		}
-		if err := e.flt.ErrOp("wait"); err != nil {
-			return Status{}, err
-		}
-		if ps.HasEarliest {
-			e.p.AdvanceTo(ps.Earliest)
-			continue
-		}
-		e.ep.WaitActivity(seq)
+		return done, ps.Earliest, ps.HasEarliest
+	}); berr != nil {
+		return Status{}, berr
 	}
+	return st, err
 }
 
 // Waitall waits for every request in order and returns the first error.
@@ -232,8 +230,8 @@ func (c *Comm) Recv(buf []byte, src, tag int) (Status, error) {
 // IprobeAny is MPI_IPROBE(MPI_ANY_SOURCE, MPI_ANY_TAG) with the probe peek
 // fused into the progress engine's final (empty) matching pass, so the idle
 // path costs one endpoint lock acquisition instead of three. A failed probe
-// also reports the earliest queued arrival for this communicator, replacing
-// a separate EarliestMessage scan in blocking pollers. Virtual-time charges
+// also reports the earliest queued arrival for this communicator, so a
+// blocking poller needs no separate scan. Virtual-time charges
 // are bit-identical to a progress pass followed by a separate probe: the
 // peek's time gate leads the clock by the MatchNS charge an empty,
 // undelivered pass takes afterwards, which is exactly the clock a separate
@@ -374,20 +372,6 @@ func (e *Env) progressPoll() (bool, fabric.PollState) {
 		e.deliver(hit, m)
 		delivered = true
 	}
-}
-
-// advanceToPending advances the clock to the earliest queued arrival that
-// matches a posted receive, returning whether it did. Blocking waits call
-// it when progress finds nothing eligible: waiting for a message that is
-// already queued but virtually in flight is a virtual-time wait.
-func (e *Env) advanceToPending() bool {
-	e.mu.Lock()
-	st := e.ep.PollStateFor(&e.progSpec)
-	e.mu.Unlock()
-	if st.HasEarliest {
-		e.p.AdvanceTo(st.Earliest)
-	}
-	return st.HasEarliest
 }
 
 func (e *Env) deliver(r *Request, m *fabric.Message) {

@@ -230,21 +230,16 @@ func TestProbeThenRecv(t *testing.T) {
 		// The blocking-probe loop of an active-message poller: advance to a
 		// queued arrival still in the virtual future, else park.
 		var st Status
-		for {
-			seq := e.ActivitySeq()
+		var perr error
+		if err := e.ep.Block(e.p, "probe", func() (bool, int64, bool) {
 			ok, s, earliest, has, err := c.IprobeAny()
-			if err != nil {
-				return err
-			}
-			if ok {
-				st = s
-				break
-			}
-			if has {
-				e.Proc().AdvanceTo(earliest)
-				continue
-			}
-			e.WaitActivity(seq)
+			st, perr = s, err
+			return ok || err != nil, earliest, has
+		}); err != nil {
+			return err
+		}
+		if perr != nil {
+			return perr
 		}
 		if st.Count != 33 || st.Source != 0 || st.Tag != 9 {
 			return fmt.Errorf("probe status %+v", st)

@@ -21,7 +21,6 @@ import (
 	"cafmpi/internal/core"
 	"cafmpi/internal/elem"
 	"cafmpi/internal/fabric"
-	"cafmpi/internal/faults"
 	"cafmpi/internal/mpi"
 	"cafmpi/internal/obs"
 	"cafmpi/internal/sim"
@@ -68,21 +67,19 @@ type S struct {
 
 	tr  *trace.Tracer // attributes substrate time in --trace; nil when off
 	osh *obs.Shard    // observability shard; nil when off
-	flt *faults.State // failure/cancellation latch; nil-safe methods
 }
 
 // New builds the substrate on image p. deliver is the runtime's AM
 // dispatcher.
 func New(p *sim.Proc, net *fabric.Net, deliver core.DeliverFunc, opt Options) (*S, error) {
 	env := mpi.Init(p, net)
+	osh := obs.For(p)
 	amComm, err := env.CommWorld().Dup()
 	if err != nil {
 		return nil, err
 	}
-	s := &S{p: p, net: net, env: env, amComm: amComm, deliver: deliver, opt: opt}
+	s := &S{p: p, net: net, env: env, amComm: amComm, deliver: deliver, opt: opt, osh: osh}
 	s.world = &team{comm: env.CommWorld()}
-	s.osh = obs.For(p)
-	s.flt = faults.Enabled(p.World())
 	return s, nil
 }
 
@@ -347,27 +344,10 @@ func (s *S) Poll() {
 // serving other traffic (§3.4). When a runtime AM is queued but still in
 // virtual flight, the wait advances the clock to its arrival.
 func (s *S) PollUntil(cond func() bool) error {
-	for {
-		seq := s.env.ActivitySeq()
+	return s.env.Block("poll_until", s.amComm, func() bool {
 		s.Poll()
-		if cond() {
-			return nil
-		}
-		// Failure latch (image crash / cancellation): unblock with the
-		// typed error instead of waiting for an arrival that may never come.
-		if err := s.flt.ErrOp("poll_until"); err != nil {
-			return err
-		}
-		// The earliest-arrival scan must be fresh (after cond, not the
-		// poll's stale report): an arrival landing between the poll and
-		// this point must advance the clock before the next charged pass,
-		// or final clocks become schedule-dependent.
-		if t, ok := s.amComm.EarliestMessage(); ok {
-			s.p.AdvanceTo(t)
-			continue
-		}
-		s.env.WaitActivity(seq)
-	}
+		return cond()
+	})
 }
 
 // LocalFenceScoped is the §3.5 cofence with its optional argument:
@@ -586,24 +566,23 @@ func (e *atomicEvents) TryWait(slot int) (bool, error) {
 }
 
 func (e *atomicEvents) Wait(slot int) error {
-	for {
-		ok, err := e.tryConsume(slot)
-		if err != nil || ok {
-			return err
+	// Busy-wait: each probe costs a remote-atomic round trip on the local
+	// window (the §3.4 concern with this design). A pass probes, polls AMs
+	// and probes again; between passes the image parks until window traffic
+	// or messages arrive.
+	var err error
+	if berr := e.s.env.Block("event_wait", nil, func() bool {
+		var ok bool
+		if ok, err = e.tryConsume(slot); err != nil || ok {
+			return true
 		}
-		// Busy-wait: each probe costs a remote-atomic round trip on the
-		// local window (the §3.4 concern with this design). Block for real
-		// until window traffic or messages arrive, then re-probe.
-		seq := e.s.env.ActivitySeq()
 		e.s.Poll()
-		if ok, err := e.tryConsume(slot); err != nil || ok {
-			return err
-		}
-		if err := e.s.flt.ErrOp("event_wait"); err != nil {
-			return err
-		}
-		e.s.env.WaitActivity(seq)
+		ok, err = e.tryConsume(slot)
+		return err != nil || ok
+	}); berr != nil {
+		return berr
 	}
+	return err
 }
 
 func (e *atomicEvents) Post(slot int, n int64) {
