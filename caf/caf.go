@@ -66,11 +66,14 @@ type Diag struct {
 	// effect on virtual time). Read the findings after the run with
 	// sanitizer.Enabled(world) on the world returned by RunWorld.
 	Sanitize bool
-	// WallProf enables the wall-clock profiling plane: sampled host-time
-	// accounting per runtime component, pprof goroutine labels (image rank
-	// + op class), and a runtime/metrics host sampler. Clock-pure. Read
-	// the divergence report after the run with wallprof.Enabled(world) on
-	// the world returned by RunWorld.
+	// WallProf enables the host-time profiling plane: a CPU profile of the
+	// run whose samples are bucketed by runtime component, a caf_image
+	// pprof goroutine label, and a runtime/metrics host sampler. The
+	// profile is stopped when the run returns. Only one CPU profile runs
+	// per process, so a plane that finds another running reports that
+	// error instead of shares. Clock-pure. Read the divergence report
+	// after the run with wallprof.Enabled(world) on the world returned by
+	// RunWorld.
 	WallProf bool
 }
 

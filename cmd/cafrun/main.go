@@ -22,8 +22,8 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"path/filepath"
-	hostpprof "runtime/pprof"
 	"runtime/metrics"
+	hostpprof "runtime/pprof"
 	"sort"
 
 	"cafmpi/caf"
@@ -64,7 +64,7 @@ func main() {
 		faultLog   = flag.Bool("fault-log", false, "print the injected-fault decision log after the run (implies reproducible ordering)")
 		postmortem = flag.String("postmortem-out", "", "arm the crash-triggered flight recorder: write a deterministic signature-stamped bundle under this directory when an image crashes or the job fails")
 		pprofAddr  = flag.String("pprof-addr", "", "serve net/http/pprof on this address (e.g. localhost:6060) and dump runtime/metrics after the run")
-		wallprofOn = flag.Bool("wallprof", false, "host wall-clock profiling plane: per-component host-time blame with a wall-vs-virtual divergence report (clock-pure: virtual results are bit-identical with or without it)")
+		wallprofOn = flag.Bool("wallprof", false, "host-time profiling plane: CPU-profile samples bucketed per component, with a host-vs-virtual divergence report (clock-pure: it never advances a virtual clock)")
 		wallOut    = flag.String("wallprof-out", "", "write cpu.pprof, mutex.pprof, block.pprof and wallprof.json into this directory (implies -wallprof)")
 		wallCont   = flag.Bool("wallprof-contention", false, "enable mutex/block profiling rates for the run (host-side contention capture; implies -wallprof)")
 
@@ -110,19 +110,10 @@ func main() {
 		restore := wallprof.EnableContention()
 		defer restore()
 	}
-	var cpuProf *os.File
 	if *wallOut != "" {
 		if err := os.MkdirAll(*wallOut, 0o755); err != nil {
 			fail("%v", err)
 		}
-		f, err := os.Create(filepath.Join(*wallOut, "cpu.pprof"))
-		if err != nil {
-			fail("%v", err)
-		}
-		if err := hostpprof.StartCPUProfile(f); err != nil {
-			fail("starting CPU profile: %v", err)
-		}
-		cpuProf = f
 	}
 	var plan *faults.Plan
 	if *faultsSpec != "" {
@@ -248,6 +239,11 @@ func main() {
 			}
 			fmt.Printf("signature_hash: %s\n", faults.SignatureHash(evs))
 		}
+		if *wallOut != "" {
+			// The plane finished when the run returned, so a failed job's
+			// profile is complete too.
+			writeCPUProfile(*wallOut, wallprof.Enabled(w))
+		}
 		fail("%v", err)
 	}
 
@@ -256,10 +252,7 @@ func main() {
 		// sanitizer's self-metered shadow-state footprint and the wallprof
 		// host metrics are volatile gauges merged by max into shard 0.
 		wpw := wallprof.Enabled(w)
-		if wpw != nil {
-			wpw.Finish()
-			wpw.DepositGauges(ow)
-		}
+		wpw.DepositGauges(ow)
 		if sw := sanitizer.Enabled(w); sw != nil {
 			ow.Shard(0).Max(obs.CtrSanBytesPerImage, sw.MemMaxBytes())
 		}
@@ -308,11 +301,7 @@ func main() {
 			wrep := wpw.Analyze(virt, finish)
 			fmt.Print(wrep.Text())
 			if *wallOut != "" {
-				if cpuProf != nil {
-					hostpprof.StopCPUProfile()
-					cpuProf.Close()
-					cpuProf = nil
-				}
+				writeCPUProfile(*wallOut, wpw)
 				writeProfile := func(name, file string) {
 					p := hostpprof.Lookup(name)
 					if p == nil {
@@ -340,12 +329,6 @@ func main() {
 				fmt.Printf("wallprof: wrote cpu.pprof, mutex.pprof, block.pprof, wallprof.json to %s\n", *wallOut)
 			}
 		}
-	}
-	if cpuProf != nil {
-		// -wallprof-out with a run that never reached the report (should not
-		// happen on success, but keep the profile coherent).
-		hostpprof.StopCPUProfile()
-		cpuProf.Close()
 	}
 	if st := faults.Enabled(w); st.Active() {
 		evs := st.Log()
@@ -395,6 +378,18 @@ func dumpRuntimeMetrics() {
 			}
 			fmt.Printf("  %-60s histogram, %d samples\n", s.Name, total)
 		}
+	}
+}
+
+// writeCPUProfile writes the plane's CPU profile to dir/cpu.pprof. It
+// writes nothing when no profile was taken; the report says why.
+func writeCPUProfile(dir string, wp *wallprof.World) {
+	prof := wp.CPUProfile()
+	if prof == nil {
+		return
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cpu.pprof"), prof, 0o644); err != nil {
+		fail("%v", err)
 	}
 }
 

@@ -4,17 +4,12 @@
 // runtime or application code silently couples results to host speed and
 // breaks the clock-invariance goldens. Deliberate host-time use (bench
 // harness wall-time reporting, watchdog timeouts) is annotated
-// //caflint:allow wallclock.
-//
-// internal/obs/wallprof is the sanctioned home of the host clock — but the
-// allowance is scoped, not blanket: every read there must STILL carry the
-// annotation, so each host-clock touch in the profiling plane is an
-// explicit, reviewed site. Only the diagnostic message changes.
+// //caflint:allow wallclock, in the host-time plane (internal/obs/wallprof)
+// as everywhere else.
 package wallclock
 
 import (
 	"go/ast"
-	"strings"
 
 	"cafmpi/internal/analysis"
 )
@@ -36,19 +31,7 @@ var forbidden = map[string]bool{
 	"NewTicker": true, "NewTimer": true,
 }
 
-// isWallprofPkg reports whether the pass runs over the wall-clock profiling
-// plane, whose host-clock reads get a tailored diagnostic (they are
-// expected there — just never without an annotation).
-func isWallprofPkg(pass *analysis.Pass) bool {
-	if pass.Pkg == nil {
-		return false
-	}
-	p := pass.Pkg.Path()
-	return p == "wallprof" || strings.HasSuffix(p, "/wallprof")
-}
-
 func run(pass *analysis.Pass) error {
-	wallprofPkg := isWallprofPkg(pass)
 	for _, f := range pass.Files {
 		if analysis.IsTestFile(pass.Fset, f.Pos()) {
 			continue
@@ -63,15 +46,9 @@ func run(pass *analysis.Pass) error {
 				return true
 			}
 			if forbidden[fn.Name()] {
-				if wallprofPkg {
-					pass.Reportf(call.Pos(),
-						"un-annotated wall-clock time.%s in the wallprof plane: wallprof is the sanctioned host-clock home, but every read must carry //caflint:allow wallclock so each site is deliberate",
-						fn.Name())
-				} else {
-					pass.Reportf(call.Pos(),
-						"wall-clock time.%s in simulation code: use the virtual clock (sim.Proc.Now/Advance); annotate //caflint:allow wallclock for deliberate host-time use",
-						fn.Name())
-				}
+				pass.Reportf(call.Pos(),
+					"wall-clock time.%s in simulation code: use the virtual clock (sim.Proc.Now/Advance); annotate //caflint:allow wallclock for deliberate host-time use",
+					fn.Name())
 			}
 			return true
 		})

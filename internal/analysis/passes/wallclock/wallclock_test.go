@@ -10,10 +10,3 @@ import (
 func Test(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "a")
 }
-
-// TestWallprofScope pins the scoped allowance: inside a wallprof package
-// annotated host-clock reads pass, un-annotated ones still fail (with the
-// tailored message).
-func TestWallprofScope(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), wallclock.Analyzer, "wallprof")
-}

@@ -63,11 +63,11 @@ type Config struct {
 	// directory. Implies Observe — the obs shards are the recorder's
 	// black box.
 	Postmortem string
-	// WallProf enables the wall-clock profiling plane (internal/obs/
-	// wallprof): sampled host-time accounting per component, pprof label
-	// propagation, and the runtime/metrics host sampler. Clock-pure —
-	// virtual time and all goldens are unaffected. Read the divergence
-	// report after the run via wallprof.Enabled(world).Analyze.
+	// WallProf enables the host-time profiling plane (internal/obs/
+	// wallprof): a CPU profile of the run bucketed by component, the
+	// caf_image pprof label, and the runtime/metrics host sampler.
+	// Clock-pure — virtual time and all goldens are unaffected. Read the
+	// divergence report after the run via wallprof.Enabled(world).Analyze.
 	WallProf bool
 }
 
@@ -185,9 +185,8 @@ func Boot(p *sim.Proc, cfg Config) (*Image, error) {
 		flightrec.Arm(p.World(), cfg.Postmortem)
 	}
 	if cfg.WallProf {
-		// Must precede the Factory call for the same reason as obs.Enable;
 		// LabelImage runs here, on the image's own goroutine, so the pprof
-		// labels tag the right G.
+		// label tags the right G.
 		wallprof.Enable(p.World())
 		wallprof.LabelImage(p)
 	}
@@ -285,6 +284,9 @@ func RunWorldContext(ctx context.Context, n int, cfg Config, fn func(*Image) err
 		}
 		return fn(im)
 	})
+	// Stop the host-time plane's CPU profile and sampler on every exit
+	// path: a running profile would make the next world's plane fail.
+	wallprof.Enabled(w).Finish()
 	// Crash-triggered dump: every failed chaos run leaves a debuggable
 	// artifact. A dump failure never masks the run's own error.
 	if rec := flightrec.Armed(w); rec != nil && (err != nil || st.Down()) {

@@ -7,7 +7,6 @@ import (
 
 	"cafmpi/internal/faults"
 	"cafmpi/internal/obs"
-	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sim"
 )
 
@@ -78,11 +77,6 @@ type Net struct {
 	// with no plan the per-send cost is a single nil/flag check.
 	flt *faults.State
 
-	// wp is the world's wall-clock profiling plane, nil when off. Same
-	// capture discipline as ow: resolved once at attach, nil-checked per
-	// message.
-	wp *wallprof.World
-
 	// poolBytes is the pooled payload capacity currently checked out for
 	// in-flight messages of this world; Send raises the pool_bytes_inflight
 	// gauge from it and Release drains it.
@@ -150,7 +144,6 @@ func AttachNet(w *sim.World, params *Params) *Net {
 	// non-reentrant mutex.
 	ow := obs.Enabled(w)
 	flt := faults.Enabled(w)
-	wp := wallprof.Enabled(w)
 	return w.Shared("fabric.net", func() any {
 		n := &Net{
 			world:  w,
@@ -159,7 +152,6 @@ func AttachNet(w *sim.World, params *Params) *Net {
 			layers: make(map[string]*Layer),
 			ow:     ow,
 			flt:    flt,
-			wp:     wp,
 		}
 		// When the failure latch trips (image crash or job cancellation),
 		// broadcast-wake every parked endpoint waiter so blocked collectives,
@@ -211,11 +203,6 @@ func (n *Net) shard(p *sim.Proc) *obs.Shard {
 		return nil
 	}
 	return n.ow.Shard(p.ID())
-}
-
-// wrec returns image p's wall-clock recorder, or nil when wallprof is off.
-func (n *Net) wrec(p *sim.Proc) *wallprof.Rec {
-	return n.wp.Rec(p.ID())
 }
 
 // ClaimNIC reserves occ nanoseconds of image dst's inbound wire starting no
@@ -312,11 +299,6 @@ func (l *Layer) Send(p *sim.Proc, m *Message) error {
 		panic(fmt.Sprintf("fabric: send to invalid rank %d (world size %d)", m.Dst, len(l.eps)))
 	}
 	m.Src = p.ID()
-	// Host-time blame for the inject hot path (wallprof SiteFabricInject).
-	// Explicit End on every return; the crash-panic path drops one sample,
-	// which the sampling estimator absorbs.
-	wr := l.net.wrec(p)
-	wt := wr.Begin(wallprof.SiteFabricInject)
 	flt := l.net.flt
 	if flt.Active() {
 		if stall, crashed := flt.Checkpoint(m.Src, p.Now()); crashed {
@@ -340,7 +322,6 @@ func (l *Layer) Send(p *sim.Proc, m *Message) error {
 				m.Req.CompleteAt(p.Now())
 			}
 			dst := m.Dst
-			wr.End(wallprof.SiteFabricInject, wt)
 			m.Release()
 			return &faults.ImageError{Image: dst, Op: "send(" + l.name + ")", Err: faults.ErrImageFailed}
 		}
@@ -386,7 +367,6 @@ func (l *Layer) Send(p *sim.Proc, m *Message) error {
 				m.Req.CompleteAt(p.Now())
 			}
 			dst := m.Dst
-			wr.End(wallprof.SiteFabricInject, wt)
 			m.Release()
 			return &faults.ImageError{Image: dst, Op: "send(" + l.name + ")", Err: faults.ErrRetriesExhausted}
 		}
@@ -444,7 +424,6 @@ func (l *Layer) Send(p *sim.Proc, m *Message) error {
 		e.AddComp(obs.CompOverhead, pr.SendOverheadNS)
 		sh.RecordEdge(e)
 	}
-	wr.End(wallprof.SiteFabricInject, wt)
 	return nil
 }
 
@@ -497,9 +476,6 @@ func (l *Layer) AbsorbAM(p *sim.Proc, m *Message, matchNS, stallNS int64) {
 
 func (l *Layer) absorb(p *sim.Proc, m *Message, matchNS, stallNS int64) {
 	pr := l.net.params
-	// Host-time blame for the receive hot path (wallprof SiteFabricAbsorb).
-	wr := l.net.wrec(p)
-	wt := wr.Begin(wallprof.SiteFabricAbsorb)
 	if flt := l.net.flt; flt.Active() {
 		if stall, crashed := flt.Checkpoint(p.ID(), p.Now()); crashed {
 			if sh := l.net.shard(p); sh != nil {
@@ -578,7 +554,6 @@ func (l *Layer) absorb(p *sim.Proc, m *Message, matchNS, stallNS int64) {
 		e.AddComp(obs.CompSRQStall, stallNS)
 		sh.RecordEdge(e)
 	}
-	wr.End(wallprof.SiteFabricAbsorb, wt)
 }
 
 // RMAPut charges image p for injecting a one-sided write of size bytes with

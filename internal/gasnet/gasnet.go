@@ -22,7 +22,6 @@ import (
 
 	"cafmpi/internal/fabric"
 	"cafmpi/internal/obs"
-	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sanitizer"
 	"cafmpi/internal/sim"
 )
@@ -111,7 +110,6 @@ type Ep struct {
 	// Attach so AM and RDMA hot paths pay a nil check only.
 	osh *obs.Shard
 	san *sanitizer.Image // nil when sanitizing is off (methods are nil-safe)
-	wp  *wallprof.Rec    // wall-clock recorder, nil when wallprof is off
 }
 
 // HandlerEntry binds a handler id to its function for Attach, mirroring
@@ -145,7 +143,6 @@ func Attach(p *sim.Proc, net *fabric.Net, segSize int, handlers ...HandlerEntry)
 	e.fep = e.layer.Endpoint(p.ID())
 	e.osh = obs.For(p)
 	e.san = sanitizer.For(p)
-	e.wp = wallprof.For(p)
 	e.amSpec = fabric.MatchSpec{Classes: fabric.Classes(clsAMRequest, clsAMReply), Src: fabric.AnySrc}
 	e.brSpec = fabric.MatchSpec{Classes: fabric.Classes(clsAMRequest, clsAMReply, clsBarrier), Src: fabric.AnySrc, Filter: e.barrierFilter}
 	sh.mu.Lock()
@@ -362,10 +359,6 @@ func (e *Ep) dispatch(m *fabric.Message) {
 	if h == nil {
 		panic(fmt.Sprintf("gasnet: image %d received AM for unregistered handler %d", e.p.ID(), m.Ctx))
 	}
-	// Host-time blame for handler execution only (wallprof SiteGASNetAM):
-	// the absorb above is already covered by SiteFabricAbsorb, so the two
-	// sites stay disjoint for the divergence report's residual math.
-	wt := e.wp.Begin(wallprof.SiteGASNetAM)
 	tk := &Token{ep: e, src: m.Src}
 	switch m.Tag {
 	case catShort:
@@ -373,7 +366,6 @@ func (e *Ep) dispatch(m *fabric.Message) {
 	case catMedium:
 		h(tk, m.Args, m.Data)
 	}
-	e.wp.End(wallprof.SiteGASNetAM, wt)
 	// GASNet handlers may not retain args or payload past their return
 	// (medium payloads are explicitly scratch), so the message recycles here.
 	m.Release()

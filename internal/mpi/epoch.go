@@ -3,7 +3,6 @@ package mpi
 import (
 	"cafmpi/internal/fabric"
 	"cafmpi/internal/obs"
-	"cafmpi/internal/obs/wallprof"
 )
 
 // epoch is the origin-side completion state of one window's access epoch:
@@ -122,7 +121,6 @@ func (ep *epoch) worldRanks(peers ...int) []int {
 // pending, otherwise the bookkeeping scan. Win.Flush has already validated
 // the epoch.
 func (ep *epoch) flushTarget(target int) {
-	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
 	p := ep.env.p
 	t0 := p.Now()
@@ -158,7 +156,6 @@ func (ep *epoch) flushTarget(target int) {
 	} else {
 		ep.env.san.FenceLocal()
 	}
-	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
 
 // flushAllEpoch charges the MPI_WIN_FLUSH_ALL sequence: one walk over the
@@ -166,7 +163,6 @@ func (ep *epoch) flushTarget(target int) {
 // the clean ranks in the gaps (the §4.1 bottleneck, Size × FlushScanNS in
 // virtual time); sparse mode charges only what the epoch touched.
 func (ep *epoch) flushAllEpoch() {
-	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
 	p := ep.env.p
 	t0 := p.Now()
@@ -218,7 +214,6 @@ func (ep *epoch) flushAllEpoch() {
 	} else {
 		ep.env.san.FenceLocal()
 	}
-	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }
 
 // rflushAllEpoch charges the request-generating flush-all (the paper's §5
@@ -227,7 +222,6 @@ func (ep *epoch) flushAllEpoch() {
 // mode; the dirty set is cleared, closing the epoch window the request
 // covers.
 func (ep *epoch) rflushAllEpoch() int64 {
-	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
 	p := ep.env.p
 	done := p.Now()
@@ -260,7 +254,6 @@ func (ep *epoch) rflushAllEpoch() int64 {
 			sh.RecordEdge(e)
 		}
 	}
-	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 	return done
 }
 
@@ -270,7 +263,6 @@ func (ep *epoch) rflushAllEpoch() int64 {
 // set is already empty here: the UnlockAll that closed any previous epoch
 // flushed it.
 func (ep *epoch) lockAllEpoch() {
-	wt := ep.env.wp.Begin(wallprof.SiteMPIFlush)
 	c := ep.env.costs()
 	p := ep.env.p
 	t0 := p.Now()
@@ -288,5 +280,4 @@ func (ep *epoch) lockAllEpoch() {
 		e.AddComp(obs.CompFlushScan, c.FlushScanNS*int64(scanned))
 		sh.RecordEdge(e)
 	}
-	ep.env.wp.End(wallprof.SiteMPIFlush, wt)
 }

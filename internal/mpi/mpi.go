@@ -22,7 +22,6 @@ import (
 
 	"cafmpi/internal/fabric"
 	"cafmpi/internal/obs"
-	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sanitizer"
 	"cafmpi/internal/sim"
 )
@@ -118,10 +117,6 @@ type Env struct {
 	// nil-safe); cached at Init like sh.
 	san *sanitizer.Image
 
-	// wp is this image's wall-clock recorder, nil when wallprof is off
-	// (methods nil-safe); cached at Init like sh.
-	wp *wallprof.Rec
-
 	// On-demand connection model (scalable-sync mode): instead of
 	// preallocating per-peer eager pools and connection state for the whole
 	// world at Init, each peer's share (perPeerBytes) is charged to the
@@ -159,7 +154,6 @@ func Init(p *sim.Proc, net *fabric.Net) *Env {
 	env.ep = env.layer.Endpoint(p.ID())
 	env.sh = obs.For(p)
 	env.san = sanitizer.For(p)
-	env.wp = wallprof.For(p)
 	env.progSpec = fabric.MatchSpec{Classes: fabric.Classes(clsP2P), Src: fabric.AnySrc, Filter: env.postedFilter}
 
 	env.world = newComm(env, ws.world, p.ID(), 0)

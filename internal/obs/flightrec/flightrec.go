@@ -91,11 +91,8 @@ func (r *Recorder) Dump(w *sim.World, runErr error) (string, error) {
 	// volatile.txt, outside the determinism contract. No virtual blame is
 	// attached here — a crashed run has no trustworthy critical path.
 	var wallSummary string
-	if wpw := wallprof.Enabled(w); wpw != nil {
-		wpw.Finish()
-		if wrep := wpw.Analyze(nil, 0); wrep != nil {
-			wallSummary = wrep.Text()
-		}
+	if wrep := wallprof.Enabled(w).Analyze(nil, 0); wrep != nil {
+		wallSummary = wrep.Text()
 	}
 	files := map[string]string{
 		"MANIFEST.txt":  manifest(w, st, hash, runErr),

@@ -4,8 +4,7 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
-	"sync"
-	"time"
+	"sync/atomic"
 )
 
 // HostStats is the run's Go-runtime health summary: how much host time the
@@ -13,33 +12,26 @@ import (
 // wide the goroutine population got. All values are deltas/extrema over
 // the Enable→Finish window.
 type HostStats struct {
-	WallNS        int64 `json:"wall_ns"`         // Enable→Finish host span
-	GCPauseNS     int64 `json:"gc_pause_ns"`     // summed stop-the-world pauses
-	NumGC         int64 `json:"num_gc"`          // completed GC cycles
+	WallNS        int64 `json:"wall_ns"`          // Enable→Finish host span
+	GCPauseNS     int64 `json:"gc_pause_ns"`      // summed stop-the-world pauses
+	NumGC         int64 `json:"num_gc"`           // completed GC cycles
 	SchedLatP50NS int64 `json:"sched_lat_p50_ns"` // median runnable-wait
 	SchedLatP99NS int64 `json:"sched_lat_p99_ns"` // tail runnable-wait
-	GoroutineMax  int64 `json:"goroutines_max"`  // peak live goroutines
+	GoroutineMax  int64 `json:"goroutines_max"`   // peak live goroutines as images boot
 	GOMAXPROCS    int   `json:"gomaxprocs"`
 }
 
-const (
-	metricSchedLat   = "/sched/latencies:seconds"
-	metricGoroutines = "/sched/goroutines:goroutines"
-)
+const metricSchedLat = "/sched/latencies:seconds"
 
-// hostSampler snapshots runtime/metrics at Enable, polls the goroutine
-// count on a coarse host ticker while the run executes, and computes
-// deltas at stop. The ticker goroutine touches no simulation state.
+// hostSampler snapshots runtime/metrics at Enable and computes deltas at
+// stop. It runs no goroutine of its own: a periodic waker would reorder
+// the images' run queue, and virtual time depends on host interleaving.
+// The goroutine high-water is read by each image as it boots, when every
+// image goroutine is alive.
 type hostSampler struct {
 	startMem   runtime.MemStats
 	startSched metrics.Float64Histogram
-
-	mu     sync.Mutex
-	goroMax int64
-	quit   chan struct{}
-	wg     sync.WaitGroup
-	once   sync.Once
-	out    HostStats
+	goroMax    atomic.Int64
 }
 
 func readSchedHist() metrics.Float64Histogram {
@@ -57,67 +49,34 @@ func readSchedHist() metrics.Float64Histogram {
 	return cp
 }
 
-func readGoroutines() int64 {
-	s := []metrics.Sample{{Name: metricGoroutines}}
-	metrics.Read(s)
-	if s[0].Value.Kind() != metrics.KindUint64 {
-		return 0
-	}
-	return int64(s[0].Value.Uint64())
-}
-
 func startHostSampler() *hostSampler {
-	hs := &hostSampler{quit: make(chan struct{})}
+	hs := &hostSampler{}
 	runtime.ReadMemStats(&hs.startMem)
 	hs.startSched = readSchedHist()
-	hs.goroMax = readGoroutines()
-	hs.wg.Add(1)
-	go func() {
-		defer hs.wg.Done()
-		tick := time.NewTicker(10 * time.Millisecond) //caflint:allow wallclock -- host sampler cadence, outside simulation
-		defer tick.Stop()
-		for {
-			select {
-			case <-hs.quit:
-				return
-			case <-tick.C:
-				g := readGoroutines()
-				hs.mu.Lock()
-				if g > hs.goroMax {
-					hs.goroMax = g
-				}
-				hs.mu.Unlock()
-			}
-		}
-	}()
+	hs.noteGoroutines()
 	return hs
 }
 
-// stop halts the poller and returns the window's deltas. Idempotent.
-func (hs *hostSampler) stop() HostStats {
-	if hs == nil {
-		return HostStats{}
+// noteGoroutines raises the goroutine high-water to the current count.
+func (hs *hostSampler) noteGoroutines() {
+	g := int64(runtime.NumGoroutine())
+	for cur := hs.goroMax.Load(); g > cur && !hs.goroMax.CompareAndSwap(cur, g); cur = hs.goroMax.Load() {
 	}
-	hs.once.Do(func() {
-		close(hs.quit)
-		hs.wg.Wait()
-		if g := readGoroutines(); g > hs.goroMax {
-			hs.goroMax = g
-		}
-		var end runtime.MemStats
-		runtime.ReadMemStats(&end)
-		endSched := readSchedHist()
-		p50, p99 := histDeltaPercentiles(hs.startSched, endSched, 0.50, 0.99)
-		hs.out = HostStats{
-			GCPauseNS:     int64(end.PauseTotalNs - hs.startMem.PauseTotalNs),
-			NumGC:         int64(end.NumGC - hs.startMem.NumGC),
-			SchedLatP50NS: p50,
-			SchedLatP99NS: p99,
-			GoroutineMax:  hs.goroMax,
-			GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		}
-	})
-	return hs.out
+}
+
+// stop returns the window's deltas. World.Finish calls it once.
+func (hs *hostSampler) stop() HostStats {
+	var end runtime.MemStats
+	runtime.ReadMemStats(&end)
+	p50, p99 := histDeltaPercentiles(hs.startSched, readSchedHist(), 0.50, 0.99)
+	return HostStats{
+		GCPauseNS:     int64(end.PauseTotalNs - hs.startMem.PauseTotalNs),
+		NumGC:         int64(end.NumGC - hs.startMem.NumGC),
+		SchedLatP50NS: p50,
+		SchedLatP99NS: p99,
+		GoroutineMax:  hs.goroMax.Load(),
+		GOMAXPROCS:    runtime.GOMAXPROCS(0),
+	}
 }
 
 // histDeltaPercentiles computes percentiles over the events that landed

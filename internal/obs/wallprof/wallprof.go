@@ -1,190 +1,77 @@
-// Package wallprof is the wall-clock performance plane: the host-time
-// mirror of the virtual-time critpath profiler. The obs/critpath stack
-// answers "where does the *simulated machine* spend its time"; wallprof
-// answers "where does the *simulator process* spend the host's time" — the
-// question ROADMAP item 2 (parallel fabric sharding) needs answered before
-// any host-side optimization round.
+// Package wallprof is the host-time profiling plane: the host-time mirror
+// of the virtual-time critpath profiler. The obs/critpath stack answers
+// "where does the *simulated machine* spend its time"; wallprof answers
+// "where does the *simulator process* spend the host's CPU".
 //
-// Design, mirroring obs's nil-safety contract:
+// While the plane is on, it takes a Go CPU profile (runtime/pprof at its
+// default rate, into memory) from Enable to Finish, and snapshots
+// runtime/metrics at both ends. Analyze decodes the profile after the run
+// and charges each sample to a fixed package → component table (report.go),
+// so the shares are sample counts over the total and sum to 100 % by
+// construction. No simulation code path carries a hook: the plane costs
+// the profiler's signal rate and nothing per operation.
 //
-//   - Enable creates one world-wide registry (found again by Enabled); when
-//     profiling is off every handle is nil and every method on a nil
-//     receiver returns immediately, so instrumented hot paths cost a
-//     pointer compare.
-//   - Each image records into its own *Rec, written only from the image's
-//     goroutine — the same ownership discipline as obs.Shard and the
-//     virtual clock. Recs are merged (read) only after sim.World.Run
-//     returns.
-//   - Timers are sampled: a site counts every operation but reads the host
-//     clock for one in SampleEvery of them, scaling the measured span back
-//     up at report time. The un-sampled fast path is two integer ops, so
-//     profiling never perturbs what it measures by more than the sampling
-//     duty cycle.
-//   - Sampled sections also swap the goroutine's pprof label set to the
-//     site's op class (restored on End), so CPU/mutex/block profiles taken
-//     while wallprof is on decompose by component and image rank.
+// Only one CPU profile can run in a process. When another is already
+// running (go test -cpuprofile, a second plane at the same time), the
+// plane's report states that error and carries no shares.
 //
-// This package is the ONE sanctioned home for host-clock reads in
-// simulation code: every time.* call below carries a //caflint:allow
-// wallclock annotation, and the wallclock analyzer pass still fails the
-// build on any un-annotated read added here later. Virtual clocks are
-// untouched — wallprof is clock-pure by construction (it never calls
-// sim.Proc.Advance), so goldens are bit-exact with it on or off.
+// Virtual clocks are untouched — wallprof never calls sim.Proc.Advance, so
+// goldens are bit-exact with it on or off. Its host-clock reads carry
+// //caflint:allow wallclock annotations like any other.
 package wallprof
 
 import (
+	"bytes"
 	"context"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"time"
 
 	"cafmpi/internal/obs"
 	"cafmpi/internal/sim"
 )
 
-// Site identifies one instrumented host-time section. Sites are chosen to
-// be (close to) non-overlapping so their scaled spans can be subtracted
-// from the run's total to form the "app/other" residual.
-type Site uint8
-
-// Sites.
-const (
-	// SiteFabricInject covers fabric Layer.Send: message staging, fault
-	// verdicts, NIC claims and the enqueue under the destination endpoint's
-	// mutex (the sender-side hot path).
-	SiteFabricInject Site = iota
-	// SiteFabricAbsorb covers fabric Layer.absorb: match bookkeeping,
-	// rendezvous completion, edge recording (the receiver-side hot path).
-	SiteFabricAbsorb
-	// SiteMPIFlush covers the MPI epoch flush family: Flush, FlushAll,
-	// RflushAll, LockAll scan/blame sequences.
-	SiteMPIFlush
-	// SiteGASNetAM covers GASNet AM handler execution after absorption.
-	SiteGASNetAM
-	// SiteSanitizer covers sanitizer shadow-cell access checks (the
-	// dominant sanitizer cost; clock merges ride the same lock).
-	SiteSanitizer
-	// SiteApp is the residual: host time not inside any measured site
-	// (application compute, scheduler waits, runtime bookkeeping). It is
-	// never measured directly — the report derives it by subtraction.
-	SiteApp
-	numSites
-)
-
-var siteNames = [...]string{
-	"fabric/inject", "fabric/absorb", "mpi/flush", "gasnet/am",
-	"sanitizer", "app/other",
-}
-
-func (s Site) String() string {
-	if int(s) >= len(siteNames) {
-		return "Site(" + strconv.Itoa(int(s)) + ")"
-	}
-	return siteNames[s]
-}
-
-// NumSites is the number of named sites (including the residual).
-const NumSites = int(numSites)
-
-// SampleEvery is the sampling duty cycle: one operation in SampleEvery per
-// site reads the host clock; the other SampleEvery-1 pay two integer ops.
-const SampleEvery = 64
-
 const worldKey = "obs.wallprof"
 
-// base anchors every host-time reading; samples are monotonic offsets from
-// process start, so arithmetic on them never sees wall-clock adjustments.
-var base = time.Now() //caflint:allow wallclock -- wallprof is the sanctioned host-time measurement plane
-
-// nowNS reads the monotonic host clock. Package-private: all host-time
-// measurement funnels through here.
-func nowNS() int64 {
-	return int64(time.Since(base)) //caflint:allow wallclock -- sampled host timer read
-}
-
-// siteAcc is one site's accumulator: every op counted, one in SampleEvery
-// timed.
-type siteAcc struct {
-	ops     uint64 // operations seen
-	sampled uint64 // operations timed
-	ns      int64  // summed host ns over the sampled operations
-}
-
-// Rec is one image's host-time recorder. All methods are nil-safe; non-nil
-// Recs must only be used from the owning image's goroutine.
-type Rec struct {
-	sites   [numSites]siteAcc
-	baseCtx context.Context // goroutine's resting pprof label set
-	siteCtx [numSites]context.Context
-}
-
-// Begin marks the start of a site section. It returns 0 when this
-// occurrence is not sampled (or the recorder is nil); pass the result to
-// End unconditionally — End is a no-op on 0.
-func (r *Rec) Begin(s Site) int64 {
-	if r == nil {
-		return 0
-	}
-	a := &r.sites[s]
-	a.ops++
-	if a.ops%SampleEvery != 0 {
-		return 0
-	}
-	if c := r.siteCtx[s]; c != nil {
-		// Sampled section: tag the goroutine with the op class so a
-		// concurrent CPU/mutex/block profile decomposes by component.
-		pprof.SetGoroutineLabels(c)
-	}
-	t := nowNS()
-	if t <= 0 {
-		t = 1
-	}
-	return t
-}
-
-// End closes a sampled section opened by Begin.
-func (r *Rec) End(s Site, t0 int64) {
-	if r == nil || t0 == 0 {
-		return
-	}
-	a := &r.sites[s]
-	a.sampled++
-	if d := nowNS() - t0; d > 0 {
-		a.ns += d
-	}
-	if r.baseCtx != nil {
-		pprof.SetGoroutineLabels(r.baseCtx)
-	}
-}
-
-// World is the per-sim.World wallprof registry: one recorder per image plus
-// the runtime/metrics host sampler.
+// World is the per-sim.World plane: the run's CPU profile plus the
+// runtime/metrics host snapshots.
 type World struct {
-	recs    []*Rec
-	startNS int64
+	start   time.Time
+	prof    bytes.Buffer  // the gzipped CPU profile, complete once stopped is closed
+	profErr error         // StartCPUProfile's error: no profile was taken
+	stopped chan struct{} // closed when StopCPUProfile has returned
 	sampler *hostSampler
 	host    HostStats
 	done    bool
 }
 
-// Enable returns the world's wallprof registry, creating it on first call.
-// Like obs.Enable it must run before the instrumented layers attach
-// (core.Boot enables it before constructing the substrate), so layers can
-// cache their recorder once. Creating the registry also starts the
-// runtime/metrics host sampler; Finish stops it.
+// lastStop is the stopped channel of the plane that finished last, so the
+// next plane starts its profile after that one's has been written.
+var (
+	stopMu   sync.Mutex
+	lastStop chan struct{}
+)
+
+// Enable returns the world's plane, creating it on first call. Creating it
+// starts the CPU profile and the host sampler; Finish stops both.
 func Enable(w *sim.World) *World {
 	return w.Shared(worldKey, func() any {
-		ww := &World{recs: make([]*Rec, w.N()), startNS: nowNS()}
-		for i := range ww.recs {
-			ww.recs[i] = &Rec{}
+		stopMu.Lock()
+		prev := lastStop
+		stopMu.Unlock()
+		if prev != nil {
+			<-prev
 		}
+		ww := &World{start: time.Now()} //caflint:allow wallclock -- start of the plane's host window
+		ww.profErr = pprof.StartCPUProfile(&ww.prof)
 		ww.sampler = startHostSampler()
 		return ww
 	}).(*World)
 }
 
-// Enabled returns the world's registry if Enable was ever called, else nil.
+// Enabled returns the world's plane if Enable was ever called, else nil.
 func Enabled(w *sim.World) *World {
 	if w == nil {
 		return nil
@@ -195,49 +82,56 @@ func Enabled(w *sim.World) *World {
 	return nil
 }
 
-// For returns image p's recorder, or nil when wallprof is off.
-func For(p *sim.Proc) *Rec {
-	return Enabled(p.World()).Rec(p.ID())
-}
-
-// Rec returns image i's recorder (nil on a nil registry).
-func (ww *World) Rec(i int) *Rec {
-	if ww == nil {
-		return nil
-	}
-	return ww.recs[i]
-}
-
 // LabelImage tags the calling goroutine — which must be image p's — with
-// its pprof identity (caf_image rank) and prebuilds the per-site op-class
-// label sets Begin/End swap in around sampled sections. Host profiles
-// (CPU, mutex, block) taken while the job runs then decompose by image and
-// component.
+// the pprof label caf_image=<rank>, so the CPU, mutex and block profiles
+// taken while the job runs decompose by image. It also records the
+// goroutine high-water for HostStats.
 func LabelImage(p *sim.Proc) {
 	ww := Enabled(p.World())
 	if ww == nil {
 		return
 	}
-	r := ww.recs[p.ID()]
-	ctx := pprof.WithLabels(context.Background(),
-		pprof.Labels("caf_image", strconv.Itoa(p.ID())))
-	r.baseCtx = ctx
-	for s := Site(0); s < numSites; s++ {
-		r.siteCtx[s] = pprof.WithLabels(ctx, pprof.Labels("caf_op", s.String()))
-	}
-	pprof.SetGoroutineLabels(ctx)
+	ww.sampler.noteGoroutines()
+	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
+		pprof.Labels("caf_image", strconv.Itoa(p.ID()))))
 }
 
-// Finish stops the host sampler and freezes the run's host metrics. Call
-// after sim.World.Run returns (the recs are read-merged by Analyze);
-// idempotent.
+// Finish stops the CPU profile and the host sampler and freezes the run's
+// host metrics. core.RunWorldContext calls it when the world's run
+// returns; idempotent. It decodes nothing: that is Analyze's work.
+//
+// StopCPUProfile waits up to 200 ms for the profile writer's next poll, so
+// it runs in the background: the caller's host time does not include that
+// wait, and CPUProfile and Analyze wait for it instead.
 func (ww *World) Finish() {
 	if ww == nil || ww.done {
 		return
 	}
 	ww.done = true
+	wall := time.Since(ww.start) //caflint:allow wallclock -- end of the plane's host window
 	ww.host = ww.sampler.stop()
-	ww.host.WallNS = nowNS() - ww.startNS
+	ww.host.WallNS = int64(wall)
+	if ww.profErr == nil {
+		stopped := make(chan struct{})
+		ww.stopped = stopped
+		stopMu.Lock()
+		lastStop = stopped
+		stopMu.Unlock()
+		go func() {
+			pprof.StopCPUProfile()
+			close(stopped)
+		}()
+	}
+}
+
+// CPUProfile returns the run's gzipped pprof CPU profile, or nil when none
+// was taken or the plane is not finished.
+func (ww *World) CPUProfile() []byte {
+	if ww == nil || ww.stopped == nil {
+		return nil
+	}
+	<-ww.stopped
+	return ww.prof.Bytes()
 }
 
 // Host returns the frozen host metrics (zero value before Finish).

@@ -49,7 +49,6 @@ import (
 	"sync"
 	"unsafe"
 
-	"cafmpi/internal/obs/wallprof"
 	"cafmpi/internal/sim"
 )
 
@@ -215,7 +214,6 @@ func For(p *sim.Proc) *Image {
 	}
 	im := sw.images[p.ID()]
 	im.p = p
-	im.wp = wallprof.For(p)
 	return im
 }
 
@@ -302,10 +300,6 @@ type Image struct {
 	// shared base plus a private delta (see vclock.go).
 	vc *vclock
 
-	// wp is the wall-clock recorder for SiteSanitizer blame, nil when the
-	// wallprof plane is off (methods nil-safe).
-	wp *wallprof.Rec
-
 	// collSeq numbers this image's collectives per team; collective
 	// semantics make the numbering agree across members.
 	collSeq map[uint64]uint64
@@ -323,18 +317,11 @@ func (i *Image) now() int64 {
 }
 
 // access records one window access and reports conflicts with every stored
-// access not ordered before it by happens-before. The wallprof hook wraps
-// the shadow-state work, the dominant sanitizer host cost.
+// access not ordered before it by happens-before.
 func (i *Image) access(co uint64, owner, off, n int, kind uint8, op string) {
 	if i == nil || n <= 0 {
 		return
 	}
-	wt := i.wp.Begin(wallprof.SiteSanitizer)
-	i.accessImpl(co, owner, off, n, kind, op)
-	i.wp.End(wallprof.SiteSanitizer, wt)
-}
-
-func (i *Image) accessImpl(co uint64, owner, off, n int, kind uint8, op string) {
 	w := i.w
 	cur := rec{img: int32(i.id), kind: kind, epoch: i.vc.get(i.id), off: off, end: off + n, t: i.now(), op: op}
 	w.mu.Lock()

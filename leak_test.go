@@ -13,10 +13,10 @@ import (
 )
 
 // TestNoGoroutineLeakAtExit ends a job each of the three ways a job ends —
-// a normal verified RandomAccess, an image crash, a canceled context — on
-// both substrates, and requires the goroutine count to settle back to its
-// value before the run: no image, parked waiter or wake hook outlives the
-// job. No root-package test runs in parallel, so the count is this test's.
+// a normal verified RandomAccess, an image crash, a canceled context — plus
+// a normal job with the host-time plane on, on both substrates, and
+// requires the goroutine count to settle back to its value before the run:
+// no image, parked waiter, wake hook or profiler sampler outlives the job. No root-package test runs in parallel, so the count is this test's.
 func TestNoGoroutineLeakAtExit(t *testing.T) {
 	crash := &caf.FaultPlan{Seed: 1, Crashes: []faults.CrashPoint{{Image: 1, AtNS: 0}}}
 	cause := errors.New("operator gave up")
@@ -40,6 +40,13 @@ func TestNoGoroutineLeakAtExit(t *testing.T) {
 			})
 			return err
 		}, caf.ErrImageFailed},
+		{"wallprof", func(sub caf.Substrate) error {
+			// The host-time plane's sampler goroutine and CPU profile must
+			// stop when the run returns, not when a report is asked for.
+			cfg := caf.Config{Substrate: sub, Platform: fabric.Platform("fusion"), Diag: caf.Diag{WallProf: true}}
+			_, err := caf.RunWorld(8, cfg, raVerify)
+			return err
+		}, nil},
 		{"cancel", func(sub caf.Substrate) error {
 			ctx, cancel := context.WithCancelCause(context.Background())
 			cancel(cause)
